@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Iterable, Literal, Sequence
 
 from . import geom
 from .dual import linear_dual, tile_of_crossing
-from .errors import GridNotRepresented
+from .errors import GridNotRepresented, ValidationError
 from .geom import Polygon, from_convex_vertices, hull_chain, perp
-from .graph import CoronaSequence, Patch, corona_sequence, corona_step
+from .graph import CoronaSequence, Patch, bfs_layers, corona_sequence, neighbors
 from .multigrid import (
     Crossing,
     DominantLines,
@@ -148,7 +150,7 @@ def convergence_table(
     """
     ns = sorted(ns)
     if not ns or ns[0] < 1:
-        raise ValueError("ns must be nonempty with n >= 1")
+        raise ValidationError("ns must be nonempty with n >= 1")
     target = char_polygon(spec, side).polygon
     seq = sequence or corona_sequence(spec, patch, ns[-1])
     rows = []
@@ -164,11 +166,14 @@ def grow_until_dominant(
 ) -> tuple[Patch, DominantLines, int]:
     """Grow the patch by corona steps until every grid direction has a line
     through it, then choose dominant lines.  Returns (patch, lines, steps)."""
-    for steps in range(max_steps + 1):
+    layers = bfs_layers(patch.crossings, partial(neighbors, spec))
+    ball: frozenset[Crossing] = frozenset()
+    for steps, layer in enumerate(islice(layers, max_steps + 1)):
+        ball |= layer
         try:
-            return patch, dominant_lines(spec, patch.crossings), steps
+            return Patch(ball), dominant_lines(spec, ball), steps
         except GridNotRepresented:
-            patch = corona_step(spec, patch)
+            continue
     raise GridNotRepresented(tuple(range(spec.d)))
 
 

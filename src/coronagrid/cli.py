@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from io import StringIO
+from itertools import islice
 from pathlib import Path
 
 from . import analysis, certify, graph, io, sandpile
 from .dual import tiling_window
-from .errors import CoronagridError, ParseError, ValidationError
+from .errors import CoronagridError, ValidationError
 from .multigrid import LineId, MultigridSpec, make_crossing, nearest_crossing
 
 
@@ -79,6 +81,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _numbers(text: str, kind: type, flag: str) -> list:
+    """The comma-separated numbers given to one flag."""
+    try:
+        values = [kind(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise ValidationError(f"{flag} needs at least one number")
+    return values
+
+
 def _spec_from_args(args) -> MultigridSpec:
     chosen = [x for x in (args.config, args.dfold, args.angles) if x is not None]
     if len(chosen) != 1:
@@ -86,111 +99,98 @@ def _spec_from_args(args) -> MultigridSpec:
     if args.config is not None:
         parsed = io.parse_spec(args.config.read_text())
         return parsed.spec
-    offsets = [float(x) for x in args.offsets.split(",") if x.strip()]
+    offsets = _numbers(args.offsets, float, "--offsets")
     offsets_arg = offsets[0] if len(offsets) == 1 else io.normalized_offsets(offsets)
     if args.dfold is not None:
         return MultigridSpec.dfold(args.dfold, offsets_arg)
-    angles = [float(x) for x in args.angles.split(",") if x.strip()]
-    return MultigridSpec.from_angles(angles, offsets_arg)
+    return MultigridSpec.from_angles(_numbers(args.angles, float, "--angles"), offsets_arg)
 
 
 def _seed_patch(spec: MultigridSpec, args) -> graph.Patch:
-    if getattr(args, "tile", None):
-        i, j, ki, kj = (int(x) for x in args.tile.split(","))
+    if args.tile:
+        tile = _numbers(args.tile, int, "--tile")
+        if len(tile) != 4 or not all(0 <= g < spec.d for g in tile[:2]):
+            raise ValidationError(
+                f"--tile takes i,j,ki,kj with grids i, j in 0..{spec.d - 1}, got {args.tile!r}")
+        i, j, ki, kj = tile
         seed = make_crossing(spec, LineId(i, ki), LineId(j, kj))
     else:
         seed = nearest_crossing(spec)
-    patch = graph.Patch(frozenset([seed]))
-    for _ in range(getattr(args, "ball", 0)):
-        patch = graph.corona_step(spec, patch)
-    return patch
+    layers = graph.bfs_layers([seed], partial(graph.neighbors, spec))
+    return graph.Patch(frozenset().union(*islice(layers, max(args.ball, 0) + 1)))
 
 
 def _ns(args) -> list[int]:
-    return sorted(int(x) for x in args.n.split(",") if x.strip())
+    ns = sorted(_numbers(args.n, int, "--n"))
+    if ns[0] < 0:
+        raise ValidationError(f"--n takes integers >= 0, got {args.n!r}")
+    return ns
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    print(path)
+def _csv(write, data) -> str:
+    buf = StringIO()
+    write(data, buf)
+    return buf.getvalue()
 
 
 def run(argv: list[str]) -> int:
+    """Run one command; every artifact is rendered before any file is written,
+    so a command that fails (exit 2) leaves the output directory untouched."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _dispatch(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        files, code = _dispatch(args)
     except CoronagridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for name, text in files.items():
+        path = args.out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        print(path)
+    return code
 
 
-def _dispatch(args) -> int:
+def _dispatch(args) -> tuple[dict[str, str], int]:
+    """The command's artifacts (file name -> text) and its exit code."""
     if args.command == "certify":
         results = certify.run_all()
         for r in results:
             print(r.line())
-        return 0 if all(r.passed for r in results) else 1
+        return {}, 0 if all(r.passed for r in results) else 1
 
+    spec = _spec_from_args(args)
     if args.command == "gen":
-        spec = _spec_from_args(args)
         window = tiling_window(spec, args.radius)
-        buf = StringIO()
-        io.write_tiles_csv(window, buf)
-        _write(args.out / "tiles.csv", buf.getvalue())
-        _write(args.out / "tiling.svg", io.render_svg(io.tiling_scene(window)))
-        return 0
+        return {"tiles.csv": _csv(io.write_tiles_csv, window),
+                "tiling.svg": io.render_svg(io.tiling_scene(window))}, 0
 
     if args.command == "corona":
-        spec = _spec_from_args(args)
         patch = _seed_patch(spec, args)
-        n_max = _ns(args)[-1]
-        seq = graph.corona_sequence(spec, patch, n_max)
+        seq = graph.corona_sequence(spec, patch, _ns(args)[-1])
         overlay = analysis.tiling_char_polygon(spec)
-        buf = StringIO()
-        io.write_frontiers_csv(seq, buf)
-        _write(args.out / "frontiers.csv", buf.getvalue())
-        _write(args.out / "corona.svg",
-               io.render_svg(io.corona_scene(spec, seq, overlay)))
-        return 0
+        return {"frontiers.csv": _csv(io.write_frontiers_csv, seq),
+                "corona.svg": io.render_svg(io.corona_scene(spec, seq, overlay))}, 0
 
     if args.command == "charpoly":
-        spec = _spec_from_args(args)
         chi = analysis.grid_char_polygon(spec)
         chi_dual = analysis.tiling_char_polygon(spec)
-        buf = StringIO()
-        io.write_charpoly_csv([chi, chi_dual], buf)
-        _write(args.out / "charpoly.csv", buf.getvalue())
-        _write(args.out / "charpoly.svg",
-               io.render_svg(io.charpoly_scene(chi, chi_dual)))
-        return 0
+        return {"charpoly.csv": _csv(io.write_charpoly_csv, [chi, chi_dual]),
+                "charpoly.svg": io.render_svg(io.charpoly_scene(chi, chi_dual))}, 0
 
     if args.command == "converge":
-        spec = _spec_from_args(args)
         patch = _seed_patch(spec, args)
         rows = analysis.convergence_table(spec, patch, _ns(args), args.side)
-        buf = StringIO()
-        io.write_convergence_csv(rows, buf)
-        _write(args.out / "convergence.csv", buf.getvalue())
-        return 0
+        return {"convergence.csv": _csv(io.write_convergence_csv, rows)}, 0
 
     if args.command == "endpoints":
-        spec = _spec_from_args(args)
         patch = _seed_patch(spec, args)
         rows = analysis.endpoints_diagnostic(spec, patch, _ns(args))
-        buf = StringIO()
-        io.write_endpoints_csv(rows, buf)
-        _write(args.out / "endpoints.csv", buf.getvalue())
-        return 0
+        return {"endpoints.csv": _csv(io.write_endpoints_csv, rows)}, 0
 
     if args.command == "sandpile":
-        spec = _spec_from_args(args)
         window = tiling_window(spec, args.radius)
         at = nearest_crossing(spec)
         final = sandpile.add_grain_and_topple(sandpile.max_stable(window), at,
@@ -209,8 +209,7 @@ def _dispatch(args) -> int:
                          f"corona P_{n-1} {len(corona):>6}  "
                          f"{'match' if match else 'MISMATCH'}")
         lines.append("equivalence: " + ("exact" if all_match else "FAILED"))
-        _write(args.out / "sandpile_report.txt", "\n".join(lines) + "\n")
-        return 0 if all_match else 1
+        return {"sandpile_report.txt": "\n".join(lines) + "\n"}, 0 if all_match else 1
 
     raise ValidationError(f"unknown command {args.command}")
 

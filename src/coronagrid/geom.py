@@ -64,10 +64,6 @@ class Polygon:
         v = self.vertices
         return [(v[k], v[(k + 1) % len(v)]) for k in range(len(v))]
 
-    def contains(self, p: complex, tol: float = EPS_GEOM) -> bool:
-        """True if p lies in the closed polygon (boundary included)."""
-        return all(cross(b - a, p - a) >= -tol for a, b in self.edges())
-
 
 def _canonical_start(vertices: Sequence[complex]) -> tuple[complex, ...]:
     start = min(range(len(vertices)),

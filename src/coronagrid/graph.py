@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from itertools import accumulate, islice
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import DisconnectedPatch, ResourceLimit, Unreachable
 from .multigrid import Crossing, MultigridSpec, next_crossing_on_line
 
 _CAP_ENV = "CORONAGRID_MAX_CROSSINGS"
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 def default_crossing_cap() -> int:
@@ -59,34 +63,49 @@ class Patch:
         return [c.point for c in self.crossings]
 
 
+def bfs_layers(
+    sources: Iterable[Node], neighbors_of: Callable[[Node], Iterable[Node]],
+) -> Iterator[frozenset[Node]]:
+    """Yield the nodes at graph distance 0, 1, 2, ... from `sources`.
+
+    Every consumer of breadth-first search in the package reads this one
+    generator.  It holds only the previous, current and next layer and no
+    visited set: in an undirected graph a layer-n node's neighbors all lie
+    in layers n-1, n and n+1.  A layer is computed only when asked for, and
+    the walk ends after the last nonempty layer of a finite graph.
+    """
+    previous: frozenset[Node] = frozenset()
+    current = frozenset(sources)
+    while current:
+        yield current
+        nxt: set[Node] = set()
+        for node in current:
+            nxt.update(neighbors_of(node))
+        nxt -= current
+        nxt -= previous
+        previous, current = current, frozenset(nxt)
+
+
 def make_patch(spec: MultigridSpec, crossings: Iterable[Crossing]) -> Patch:
     """Validating Patch constructor: the set must be connected in the graph."""
     cs = frozenset(crossings)
     if not cs:
         raise DisconnectedPatch("patch must be nonempty")
-    start = next(iter(cs))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for nb in neighbors(spec, c):
-                if nb in cs and nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    if len(seen) != len(cs):
+
+    def inside(c: Crossing) -> list[Crossing]:
+        return [nb for nb in neighbors(spec, c) if nb in cs]
+
+    reached = sum(len(layer) for layer in bfs_layers([next(iter(cs))], inside))
+    if reached != len(cs):
         raise DisconnectedPatch(
-            f"patch has {len(cs)} crossings but only {len(seen)} reachable")
+            f"patch has {len(cs)} crossings but only {reached} reachable")
     return Patch(cs)
 
 
 def corona_step(spec: MultigridSpec, patch: Patch) -> Patch:
     """One growth step: the patch plus every crossing adjacent to it."""
-    grown = set(patch.crossings)
-    for c in patch.crossings:
-        grown.update(neighbors(spec, c))
-    return Patch(frozenset(grown))
+    layers = bfs_layers(patch.crossings, partial(neighbors, spec))
+    return Patch(frozenset().union(*islice(layers, 2)))
 
 
 @dataclass(frozen=True)
@@ -114,12 +133,7 @@ class CoronaSequence:
 
     def sizes(self) -> list[int]:
         """Cumulative corona sizes |P_0|, |P_1|, ..."""
-        total = 0
-        out = []
-        for f in self.frontiers:
-            total += len(f)
-            out.append(total)
-        return out
+        return list(accumulate(len(f) for f in self.frontiers))
 
 
 def corona_sequence(
@@ -128,28 +142,23 @@ def corona_sequence(
     n_max: int,
     max_crossings: int | None = None,
 ) -> CoronaSequence:
-    """Grow n_max coronas from the patch by frontier BFS.
+    """Grow n_max coronas from the patch: the first n_max + 1 layers of
+    bfs_layers, each kept as a frontier.
 
     Memory is proportional to the explored region only; exceeding the
     crossing cap (default from $CORONAGRID_MAX_CROSSINGS) raises
     ResourceLimit.
     """
     cap = default_crossing_cap() if max_crossings is None else max_crossings
-    visited: set[Crossing] = set(patch.crossings)
-    frontiers = [frozenset(patch.crossings)]
-    frontier = list(patch.crossings)
+    layers = bfs_layers(patch.crossings, partial(neighbors, spec))
+    frontiers = [next(layers, frozenset())]
+    total = len(frontiers[0])
     for _ in range(n_max):
-        nxt = []
-        for c in frontier:
-            for nb in neighbors(spec, c):
-                if nb not in visited:
-                    visited.add(nb)
-                    nxt.append(nb)
-        if len(visited) > cap:
+        frontiers.append(next(layers, frozenset()))
+        total += len(frontiers[-1])
+        if total > cap:
             raise ResourceLimit(
                 f"corona growth exceeded {cap} crossings (set ${_CAP_ENV})")
-        frontiers.append(frozenset(nxt))
-        frontier = nxt
     return CoronaSequence(patch, tuple(frontiers))
 
 
@@ -161,18 +170,9 @@ def graph_distance(
     This is the oracle the shortest-path facts are checked against; it never
     assumes anything about path shapes.
     """
-    if a == b:
-        return 0
-    visited = {a}
-    frontier = [a]
-    for dist in range(1, cap + 1):
-        nxt = []
-        for c in frontier:
-            for nb in neighbors(spec, c):
-                if nb == b:
-                    return dist
-                if nb not in visited:
-                    visited.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
+    for dist, layer in enumerate(bfs_layers([a], partial(neighbors, spec))):
+        if b in layer:
+            return dist
+        if dist >= cap:
+            break
     raise Unreachable(f"distance({a.key}, {b.key}) > {cap}")

@@ -29,7 +29,7 @@ from .analysis import CharPolygon, ConvergenceRow, EndpointRow
 from .dual import TilingWindow, tile_of_crossing
 from .errors import EmptyScene, ParseError, ValidationError
 from .graph import CoronaSequence
-from .multigrid import LineId, MultigridSpec
+from .multigrid import MultigridSpec
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -43,9 +43,6 @@ _REPEAT_RE = re.compile(r"^(.*?)\s*[x×]\s*(\d+)$")
 class ParsedConfig:
     spec: MultigridSpec
     params: dict
-
-    def __iter__(self):  # allow: spec, params = parse_spec(text)
-        return iter((self.spec, self.params))
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -141,10 +138,11 @@ def _parse_value(raw: str, text: str, pos: int):
 
 
 def normalized_offsets(offsets: Sequence[float]) -> list[float]:
-    """Fold offsets into [0, 1), warning when anything actually moves."""
+    """Fold offsets into [0, 1), warning when anything actually moves.
+    Non-finite values pass through for MultigridSpec to refuse."""
     out = []
     for g in offsets:
-        folded = g % 1.0
+        folded = g % 1.0 if math.isfinite(g) else g
         if folded != g:
             warnings.warn(f"offset {g} normalized to {folded} (same line family)")
         out.append(folded)
@@ -249,35 +247,19 @@ TYPE_FILLS = ["#c6dbef", "#fdd0a2", "#c7e9c0", "#dadaeb", "#f2b8c6",
 
 
 @dataclass(frozen=True)
-class SegmentsLayer:
-    segments: tuple[tuple[complex, complex], ...]
-    color: str = "#999999"
-    width: float | None = None
-
-
-@dataclass(frozen=True)
 class TilesLayer:
     tiles: tuple[tuple[tuple[complex, ...], str], ...]  # (corner cycle, fill)
     stroke: str = "#333333"
-    width: float | None = None
 
 
 @dataclass(frozen=True)
 class PolygonLayer:
     vertices: tuple[complex, ...]
     color: str = "#cc2222"
-    width: float | None = None
     dashed: bool = True
 
 
-@dataclass(frozen=True)
-class MarkersLayer:
-    points: tuple[complex, ...]
-    radius: float = 0.08
-    fill: str = "#cc2222"
-
-
-Layer = SegmentsLayer | TilesLayer | PolygonLayer | MarkersLayer
+Layer = TilesLayer | PolygonLayer
 
 
 @dataclass(frozen=True)
@@ -287,17 +269,15 @@ class SceneSpec:
     center: complex
     radius: float
     layers: tuple[Layer, ...]
-    stroke_width: float = 0.0  # 0 -> default of radius/300
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValidationError("viewport radius must be > 0")
 
 
-def _path(points: Iterable[complex], close: bool) -> str:
-    pts = list(points)
-    d = "M" + " L".join(f"{_fmt(p.real)} {_fmt(-p.imag)}" for p in pts)
-    return d + (" Z" if close else "")
+def _path(points: Iterable[complex]) -> str:
+    """Closed SVG path through the points."""
+    return "M" + " L".join(f"{_fmt(p.real)} {_fmt(-p.imag)}" for p in points) + " Z"
 
 
 def render_svg(scene: SceneSpec) -> str:
@@ -310,7 +290,8 @@ def render_svg(scene: SceneSpec) -> str:
         raise EmptyScene("scene has no content to render")
     r = scene.radius
     cx, cy = scene.center.real, scene.center.imag
-    default_w = scene.stroke_width if scene.stroke_width > 0 else r / 300.0
+    tile_w = r / 300.0
+    line_w = 2 * tile_w
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -319,60 +300,26 @@ def render_svg(scene: SceneSpec) -> str:
         f'height="{_fmt(2 * r)}" fill="#ffffff"/>',
     ]
     for layer in scene.layers:
-        if isinstance(layer, SegmentsLayer):
-            w = layer.width or default_w
-            out.append(f'<g stroke="{layer.color}" stroke-width="{_fmt(w)}" fill="none">')
-            for p1, p2 in layer.segments:
-                out.append(f'<path d="{_path((p1, p2), close=False)}"/>')
-            out.append("</g>")
-        elif isinstance(layer, TilesLayer):
-            w = layer.width or default_w
-            out.append(f'<g stroke="{layer.stroke}" stroke-width="{_fmt(w)}" '
+        if isinstance(layer, TilesLayer):
+            out.append(f'<g stroke="{layer.stroke}" stroke-width="{_fmt(tile_w)}" '
                        f'stroke-linejoin="round">')
             for corners, fill in layer.tiles:
-                out.append(f'<path d="{_path(corners, close=True)}" fill="{fill}"/>')
+                out.append(f'<path d="{_path(corners)}" fill="{fill}"/>')
             out.append("</g>")
-        elif isinstance(layer, PolygonLayer):
-            w = layer.width or 2 * default_w
-            dash = f' stroke-dasharray="{_fmt(4 * w)} {_fmt(3 * w)}"' if layer.dashed else ""
-            out.append(f'<path d="{_path(layer.vertices, close=True)}" fill="none" '
-                       f'stroke="{layer.color}" stroke-width="{_fmt(w)}"{dash}/>')
-        elif isinstance(layer, MarkersLayer):
-            out.append(f'<g fill="{layer.fill}">')
-            for p in layer.points:
-                out.append(f'<circle cx="{_fmt(p.real)}" cy="{_fmt(-p.imag)}" '
-                           f'r="{_fmt(layer.radius)}"/>')
-            out.append("</g>")
+        else:
+            dash = (f' stroke-dasharray="{_fmt(4 * line_w)} {_fmt(3 * line_w)}"'
+                    if layer.dashed else "")
+            out.append(f'<path d="{_path(layer.vertices)}" fill="none" '
+                       f'stroke="{layer.color}" stroke-width="{_fmt(line_w)}"{dash}/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
 def _layer_empty(layer: Layer) -> bool:
-    if isinstance(layer, SegmentsLayer):
-        return not layer.segments
-    if isinstance(layer, TilesLayer):
-        return not layer.tiles
-    if isinstance(layer, PolygonLayer):
-        return not layer.vertices
-    return not layer.points
+    return not (layer.tiles if isinstance(layer, TilesLayer) else layer.vertices)
 
 
 # scene builders ------------------------------------------------------------
-
-def multigrid_scene(spec: MultigridSpec, radius: float) -> SceneSpec:
-    """All grid lines clipped to the viewport disk."""
-    segments = []
-    for i in range(spec.d):
-        g = spec.offsets[i]
-        k_min = math.ceil(-radius - g)
-        k_max = math.floor(radius - g)
-        for k in range(k_min, k_max + 1):
-            line = LineId(i, k)
-            dist = abs(g + k)
-            half = math.sqrt(max(radius * radius - dist * dist, 0.0))
-            segments.append((spec.line_point(line, -half), spec.line_point(line, half)))
-    return SceneSpec(0j, radius, (SegmentsLayer(tuple(segments)),))
-
 
 def tiling_scene(window: TilingWindow) -> SceneSpec:
     """Window tiles filled by crossing type (grid pair)."""
@@ -442,9 +389,7 @@ def write_charpoly_csv(polys: Sequence[CharPolygon], fp: TextIO) -> None:
 
 def write_frontiers_csv(seq: CoronaSequence, fp: TextIO) -> None:
     fp.write("n,frontier_size,cumulative_size\n")
-    total = 0
-    for n, f in enumerate(seq.frontiers):
-        total += len(f)
+    for n, (f, total) in enumerate(zip(seq.frontiers, seq.sizes())):
         fp.write(f"{n},{len(f)},{total}\n")
 
 

@@ -67,7 +67,9 @@ class MultigridSpec:
             raise ValidationError("need exactly one offset per normal")
         if len(normals) < 2:
             raise ValidationError("a multigrid needs at least 2 grid families")
-        for i, z in enumerate(normals):
+        for i, (z, g) in enumerate(zip(normals, self.offsets)):
+            if not (cmath.isfinite(z) and math.isfinite(g)):
+                raise ValidationError(f"grid {i}: normal {z} and offset {g} must be finite")
             if abs(abs(z) - 1.0) > EPS_GEOM:
                 raise ValidationError(f"normal {i} is not a unit vector: {z}")
         for i in range(len(normals)):

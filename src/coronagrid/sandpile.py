@@ -16,10 +16,11 @@ is exactly conserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .dual import TilingWindow
 from .errors import BoundaryContamination, ValidationError
-from .graph import neighbors
+from .graph import bfs_layers, neighbors
 from .multigrid import Crossing
 
 
@@ -39,7 +40,6 @@ class SandpileConfig:
     adjacency: dict[Crossing, tuple[Crossing, ...]]
     grains: dict[Crossing, int]
     toppled_rounds: dict[Crossing, int]
-    rounds_run: int = 0
 
     def degree(self, c: Crossing) -> int:
         return len(self.adjacency[c])
@@ -62,17 +62,9 @@ def max_stable(window: TilingWindow) -> SandpileConfig:
 def _boundary_halo(config: SandpileConfig, depth: int = 2) -> set[Crossing]:
     """Tiles within graph distance `depth` of the window boundary (tiles
     whose infinite-graph neighborhood is clipped by the window)."""
-    frontier = {c for c, nbs in config.adjacency.items() if len(nbs) < 4}
-    halo = set(frontier)
-    for _ in range(depth):
-        nxt = set()
-        for c in frontier:
-            for nb in config.adjacency[c]:
-                if nb not in halo:
-                    halo.add(nb)
-                    nxt.add(nb)
-        frontier = nxt
-    return halo
+    boundary = [c for c, nbs in config.adjacency.items() if len(nbs) < 4]
+    layers = bfs_layers(boundary, config.adjacency.__getitem__)
+    return set().union(*islice(layers, depth + 1))
 
 
 def add_grain_and_topple(
@@ -110,5 +102,4 @@ def add_grain_and_topple(
             for nb in config.adjacency[c]:
                 grains[nb] += 1
             toppled_rounds.setdefault(c, round_n)
-    return SandpileConfig(config.window, config.adjacency, grains,
-                          toppled_rounds, config.rounds_run + rounds)
+    return SandpileConfig(config.window, config.adjacency, grains, toppled_rounds)

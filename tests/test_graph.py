@@ -2,6 +2,7 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coronagrid import graph, multigrid as mg
 from coronagrid.certify import random_multigrid
@@ -108,6 +109,52 @@ def test_frontiers_partition_and_match_bfs_distance(pentagrid):
     members = [(n, c) for n, f in enumerate(seq.frontiers) for c in f]
     for n, c in rng.sample(members, 25):
         assert graph.graph_distance(pentagrid, seed, c, cap=12) == n
+
+
+def visited_set_bfs(spec, seed, n_max):
+    """Reference BFS, independent of bfs_layers: crossing -> distance."""
+    dist = {seed: 0}
+    frontier = [seed]
+    for n in range(1, n_max + 1):
+        nxt = []
+        for c in frontier:
+            for nb in graph.neighbors(spec, c):
+                if nb not in dist:
+                    dist[nb] = n
+                    nxt.append(nb)
+        frontier = nxt
+    return dist
+
+
+@st.composite
+def small_multigrids(draw):
+    d = draw(st.integers(3, 7))
+    angles = sorted(draw(st.lists(st.floats(0.0, 180.0, exclude_max=True),
+                                  min_size=d, max_size=d)))
+    gaps = [b - a for a, b in zip(angles, angles[1:])] + [angles[0] + 180.0 - angles[-1]]
+    assume(min(gaps) >= 2.0)
+    offsets = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=d, max_size=d))
+    return mg.MultigridSpec.from_angles(angles, offsets)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=small_multigrids(), n_max=st.integers(0, 5), data=st.data())
+def test_layers_and_distance_match_visited_set_bfs(spec, n_max, data):
+    seed = mg.nearest_crossing(spec)
+    try:
+        dist = visited_set_bfs(spec, seed, n_max + 1)
+    except mg.SingularMultigrid:
+        assume(False)
+    seq = graph.corona_sequence(spec, graph.Patch(frozenset([seed])), n_max)
+    for n, frontier in enumerate(seq.frontiers):
+        assert frontier == {c for c, k in dist.items() if k == n}
+    members = sorted(dist, key=lambda c: c.key)
+    for c in data.draw(st.lists(st.sampled_from(members), max_size=5)):
+        if dist[c] <= n_max:
+            assert graph.graph_distance(spec, seed, c, cap=n_max) == dist[c]
+        else:
+            with pytest.raises(Unreachable):
+                graph.graph_distance(spec, seed, c, cap=n_max)
 
 
 def test_frontier_growth_is_linear(pentagrid_run):

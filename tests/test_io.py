@@ -13,9 +13,9 @@ from coronagrid.multigrid import MultigridSpec
 # parsing ---------------------------------------------------------------------
 
 def test_parse_dfold_single_line():
-    spec, params = cio.parse_spec("dfold: 5, offsets: [0.5 x 5]")
-    assert spec == MultigridSpec.dfold(5, 0.5)
-    assert params == {}
+    parsed = cio.parse_spec("dfold: 5, offsets: [0.5 x 5]")
+    assert parsed.spec == MultigridSpec.dfold(5, 0.5)
+    assert parsed.params == {}
 
 
 def test_parse_angles_with_params_and_comments():
@@ -27,20 +27,20 @@ def test_parse_angles_with_params_and_comments():
     n: [10, 20, 40]
     side: tiling
     """
-    spec, params = cio.parse_spec(text)
-    assert spec.d == 4
-    assert spec.offsets == (0.5,) * 4
-    assert params == {"radius": 12, "n": [10, 20, 40], "side": "tiling"}
+    parsed = cio.parse_spec(text)
+    assert parsed.spec.d == 4
+    assert parsed.spec.offsets == (0.5,) * 4
+    assert parsed.params == {"radius": 12, "n": [10, 20, 40], "side": "tiling"}
 
 
 def test_parse_offsets_scalar_broadcast():
-    spec, _ = cio.parse_spec("dfold: 7\noffsets: 0.25")
+    spec = cio.parse_spec("dfold: 7\noffsets: 0.25").spec
     assert spec.offsets == (0.25,) * 7
 
 
 def test_parse_normalizes_offsets_with_warning():
     with pytest.warns(UserWarning, match="normalized"):
-        spec, _ = cio.parse_spec("dfold: 5\noffsets: [1.25, -0.5, 0.5, 0.5, 0.5]")
+        spec = cio.parse_spec("dfold: 5\noffsets: [1.25, -0.5, 0.5, 0.5, 0.5]").spec
     assert spec.offsets == (0.25, 0.5, 0.5, 0.5, 0.5)
 
 
@@ -110,16 +110,7 @@ def test_empty_scene_raises():
     with pytest.raises(EmptyScene):
         cio.render_svg(cio.SceneSpec(0j, 1.0, ()))
     with pytest.raises(EmptyScene):
-        cio.render_svg(cio.SceneSpec(0j, 1.0, (cio.MarkersLayer(()),)))
-
-
-def test_multigrid_scene_line_count(pentagrid):
-    scene = cio.multigrid_scene(pentagrid, 5.0)
-    layer = scene.layers[0]
-    # per grid: lines with |0.5 + k| <= 5, i.e. k in -5..4 -> 10 lines
-    assert len(layer.segments) == 5 * 10
-    assert all(abs(abs(p1) - 5.0) < 1e-6 and abs(abs(p2) - 5.0) < 1e-6
-               for p1, p2 in layer.segments)
+        cio.render_svg(cio.SceneSpec(0j, 1.0, (cio.TilesLayer(()),)))
 
 
 def test_palette_distinct():
