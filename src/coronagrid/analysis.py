@@ -18,7 +18,7 @@ from itertools import islice
 from typing import Iterable, Literal, Sequence
 
 from . import geom
-from .dual import linear_dual, tile_of_crossing
+from .dual import linear_dual, tile_corner_keys, vertex_position
 from .errors import GridNotRepresented, ValidationError
 from .geom import Polygon, from_convex_vertices, hull_chain, perp
 from .graph import CoronaSequence, Patch, bfs_layers, corona_sequence, neighbors
@@ -100,13 +100,11 @@ def char_polygon(spec: MultigridSpec, side: Side) -> CharPolygon:
 def shape_points(spec: MultigridSpec, crossings: Iterable[Crossing],
                  side: Side) -> list[complex]:
     """The point cloud a corona occupies: crossing points on the multigrid
-    side, all dual-tile corners on the tiling side."""
+    side, the distinct dual-tile corners on the tiling side."""
     if side == "multigrid":
         return [c.point for c in crossings]
-    pts: list[complex] = []
-    for c in crossings:
-        pts.extend(tile_of_crossing(spec, c).corner_points)
-    return pts
+    corners = {key for c in crossings for key in tile_corner_keys(spec, c)}
+    return [vertex_position(spec, key) for key in corners]
 
 
 def normalized_shape(spec: MultigridSpec, crossings: Iterable[Crossing],
@@ -146,18 +144,25 @@ def convergence_table(
     """Hausdorff distance of hull(P_n)/n to the characteristic polygon, per n.
 
     A single corona run to max(ns) backs all rows; pass `sequence` to reuse
-    an existing run.
+    an existing run.  The hull is grown frontier by frontier,
+    hull(P_n) = hull(hull(P_{n-1}) + F_n), so each crossing's points are
+    taken once.
     """
     ns = sorted(ns)
     if not ns or ns[0] < 1:
         raise ValidationError("ns must be nonempty with n >= 1")
     target = char_polygon(spec, side).polygon
     seq = sequence or corona_sequence(spec, patch, ns[-1])
+    if ns[-1] > seq.n_max:
+        raise IndexError(f"corona index {ns[-1]} not in [0, {seq.n_max}]")
     rows = []
-    for n in ns:
-        hull = normalized_shape(spec, seq.corona(n), n, side)
-        h = geom.hausdorff_distance(hull, target)
-        rows.append(ConvergenceRow(n, side, hull, h))
+    chain: list[complex] = []
+    for n, frontier in enumerate(seq.frontiers[:ns[-1] + 1]):
+        chain = hull_chain(chain + shape_points(spec, frontier, side))
+        for _ in range(ns.count(n)):
+            hull = geom.scale_polygon(geom.convex_hull(chain), 1.0 / n)
+            h = geom.hausdorff_distance(hull, target)
+            rows.append(ConvergenceRow(n, side, hull, h))
     return rows
 
 

@@ -97,8 +97,11 @@ def _spec_from_args(args) -> MultigridSpec:
     if len(chosen) != 1:
         raise ValidationError("give exactly one of --config, --dfold, --angles")
     if args.config is not None:
-        parsed = io.parse_spec(args.config.read_text())
-        return parsed.spec
+        try:
+            text = args.config.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"--config: {exc}") from None
+        return io.parse_spec(text).spec
     offsets = _numbers(args.offsets, float, "--offsets")
     offsets_arg = offsets[0] if len(offsets) == 1 else io.normalized_offsets(offsets)
     if args.dfold is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import OnGridLine, SingularMultigrid
 from .geom import EPS_GEOM, scalar_product
@@ -29,8 +30,12 @@ class TilingVertex:
 
     @staticmethod
     def from_key(spec: MultigridSpec, key: tuple[int, ...]) -> "TilingVertex":
-        pos = sum(k * z for k, z in zip(key, spec.normals))
-        return TilingVertex(key, pos)
+        return TilingVertex(key, vertex_position(spec, key))
+
+
+def vertex_position(spec: MultigridSpec, key: tuple[int, ...]) -> complex:
+    """Position of the tiling vertex with this key: sum of key_i * normal_i."""
+    return sum(map(mul, key, spec.normals))
 
 
 def dual_vertex(spec: MultigridSpec, z: complex) -> TilingVertex:
@@ -83,8 +88,11 @@ class Tile:
         return [frozenset((c[k].key, c[(k + 1) % 4].key)) for k in range(4)]
 
 
-def tile_of_crossing(spec: MultigridSpec, crossing: Crossing) -> Tile:
-    """Build the rhombus dual to a crossing.
+def tile_corner_keys(
+    spec: MultigridSpec, crossing: Crossing,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Corner keys of the rhombus dual to a crossing, in boundary order:
+    base, base + e_i, base + e_i + e_j, base + e_j.
 
     The four cells around the crossing share all grid levels except on the
     crossing's own two lines, where they straddle the integer exactly at the
@@ -94,28 +102,32 @@ def tile_of_crossing(spec: MultigridSpec, crossing: Crossing) -> Tile:
     """
     i, ki = crossing.a
     j, kj = crossing.b
-    base_key = []
+    base = []
     for l in range(spec.d):
         if l == i:
-            base_key.append(ki)
+            base.append(ki)
         elif l == j:
-            base_key.append(kj)
+            base.append(kj)
         else:
             u = spec.level(l, crossing.point)
             if abs(u - round(u)) <= EPS_SINGULAR:
                 raise SingularMultigrid(
                     f"a grid-{l} line passes through crossing {crossing.key}")
-            base_key.append(math.ceil(u))
-    base = tuple(base_key)
+            base.append(math.ceil(u))
+    corners = [tuple(base)]
+    base[i] += 1
+    corners.append(tuple(base))
+    base[j] += 1
+    corners.append(tuple(base))
+    base[i] -= 1
+    corners.append(tuple(base))
+    return tuple(corners)
 
-    def shifted(di: int, dj: int) -> TilingVertex:
-        key = list(base)
-        key[i] += di
-        key[j] += dj
-        return TilingVertex.from_key(spec, tuple(key))
 
-    corners = (TilingVertex.from_key(spec, base),
-               shifted(1, 0), shifted(1, 1), shifted(0, 1))
+def tile_of_crossing(spec: MultigridSpec, crossing: Crossing) -> Tile:
+    """Build the rhombus dual to a crossing (corners as in tile_corner_keys)."""
+    corners = tuple(TilingVertex.from_key(spec, key)
+                    for key in tile_corner_keys(spec, crossing))
     return Tile(crossing, corners)
 
 

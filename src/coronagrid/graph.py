@@ -19,30 +19,35 @@ from itertools import accumulate, islice
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import DisconnectedPatch, ResourceLimit, Unreachable
-from .multigrid import Crossing, MultigridSpec, next_crossing_on_line
+from .multigrid import Crossing, LineId, MultigridSpec, crossing_point, line_step_keys, make_crossing
 
 _CAP_ENV = "CORONAGRID_MAX_CROSSINGS"
 
 Node = TypeVar("Node", bound=Hashable)
+Key = tuple[int, int, int, int]
 
 
 def default_crossing_cap() -> int:
     return int(os.environ.get(_CAP_ENV, 2_000_000))
 
 
-def neighbors(spec: MultigridSpec, c: Crossing) -> list[Crossing]:
-    """The 4 adjacent crossings: next crossing along each line, both ways.
+def neighbor_keys(spec: MultigridSpec, key: Key) -> tuple[Key, Key, Key, Key]:
+    """Keys of the 4 crossings adjacent to the crossing with this key: the
+    next crossing along each of its lines, both ways (line a then line b,
+    direction +1 then -1).
 
     A regular multigrid is infinite in every direction, so there are always
     exactly 4.  Raises SingularMultigrid if consecutive-crossing order is
-    numerically unreliable near c.
+    numerically unreliable near the crossing.
     """
-    out = []
-    for line in (c.a, c.b):
-        t = spec.line_parameter(line, c.point)
-        for direction in (1, -1):
-            out.append(next_crossing_on_line(spec, line, t, direction)[1])
-    return out
+    i, ki, j, kj = key
+    return line_step_keys(spec, i, ki, j, kj) + line_step_keys(spec, j, kj, i, ki)
+
+
+def neighbors(spec: MultigridSpec, c: Crossing) -> list[Crossing]:
+    """The 4 adjacent crossings, in the order of neighbor_keys."""
+    return [make_crossing(spec, LineId(i, ki), LineId(j, kj))
+            for i, ki, j, kj in neighbor_keys(spec, c.key)]
 
 
 @dataclass(frozen=True)
@@ -143,22 +148,32 @@ def corona_sequence(
     max_crossings: int | None = None,
 ) -> CoronaSequence:
     """Grow n_max coronas from the patch: the first n_max + 1 layers of
-    bfs_layers, each kept as a frontier.
+    bfs_layers, each kept as a frontier.  The walk runs on crossing keys;
+    each crossing is built once, when its frontier is stored.
 
     Memory is proportional to the explored region only; exceeding the
     crossing cap (default from $CORONAGRID_MAX_CROSSINGS) raises
     ResourceLimit.
     """
     cap = default_crossing_cap() if max_crossings is None else max_crossings
-    layers = bfs_layers(patch.crossings, partial(neighbors, spec))
-    frontiers = [next(layers, frozenset())]
-    total = len(frontiers[0])
-    for _ in range(n_max):
-        frontiers.append(next(layers, frozenset()))
-        total += len(frontiers[-1])
-        if total > cap:
+    layers = bfs_layers((c.key for c in patch.crossings), partial(neighbor_keys, spec))
+    lines: dict[tuple[int, int], LineId] = {}   # the crossings of a line share its LineId
+
+    def crossing(key: Key) -> Crossing:
+        i, ki, j, kj = key   # canonical: i < j
+        a = lines.get((i, ki)) or lines.setdefault((i, ki), LineId(i, ki))
+        b = lines.get((j, kj)) or lines.setdefault((j, kj), LineId(j, kj))
+        return Crossing(a, b, crossing_point(spec, a, b))
+
+    frontiers = []
+    total = 0
+    for n in range(n_max + 1):
+        layer = next(layers, frozenset())
+        total += len(layer)
+        if n and total > cap:   # the base patch itself is never refused
             raise ResourceLimit(
                 f"corona growth exceeded {cap} crossings (set ${_CAP_ENV})")
+        frontiers.append(frozenset(map(crossing, layer)))
     return CoronaSequence(patch, tuple(frontiers))
 
 
@@ -170,8 +185,8 @@ def graph_distance(
     This is the oracle the shortest-path facts are checked against; it never
     assumes anything about path shapes.
     """
-    for dist, layer in enumerate(bfs_layers([a], partial(neighbors, spec))):
-        if b in layer:
+    for dist, layer in enumerate(bfs_layers([a.key], partial(neighbor_keys, spec))):
+        if b.key in layer:
             return dist
         if dist >= cap:
             break

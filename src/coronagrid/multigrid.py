@@ -59,6 +59,9 @@ class MultigridSpec:
     offsets: tuple[float, ...]
     _dots: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     _crosses: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    # per grid i: (l, cross(i, l), dot(i, l), offset_l) for every other grid l
+    _steps: tuple[tuple[tuple[int, float, float, float], ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normals = tuple(complex(z) for z in self.normals)
@@ -85,6 +88,9 @@ class MultigridSpec:
                         for i in range(d))
         object.__setattr__(self, "_dots", dots)
         object.__setattr__(self, "_crosses", crosses)
+        steps = tuple(tuple((l, crosses[i][l], dots[i][l], offsets[l])
+                            for l in range(d) if l != i) for i in range(d))
+        object.__setattr__(self, "_steps", steps)
 
     @classmethod
     def dfold(cls, d: int, offsets: float | Sequence[float] = 0.5) -> "MultigridSpec":
@@ -293,7 +299,8 @@ def next_crossing_on_line(
     i, k = line
     best_dt = math.inf
     second_dt = math.inf
-    best: tuple[float, Crossing] | None = None
+    best_j = best_m = -1
+    best_t = t
     for j in range(spec.d):
         if j == i:
             continue
@@ -309,14 +316,60 @@ def next_crossing_on_line(
         if dt < best_dt:
             second_dt = best_dt
             best_dt = dt
-            best = (tm, make_crossing(spec, line, LineId(j, m)))
+            best_j, best_m, best_t = j, m, tm
         elif dt < second_dt:
             second_dt = dt
-    assert best is not None
     if second_dt - best_dt < EPS_SINGULAR:
         raise SingularMultigrid(
-            f"two crossings coincide on line {line} near parameter {best[0]}")
-    return best
+            f"two crossings coincide on line {line} near parameter {best_t}")
+    return best_t, make_crossing(spec, line, LineId(best_j, best_m))
+
+
+def line_step_keys(
+    spec: MultigridSpec, i: int, ki: int, j: int, kj: int,
+) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
+    """Keys of the crossings just after and just before the crossing of
+    lines (i, ki) and (j, kj), walking along line (i, ki).
+
+    The key-level form of next_crossing_on_line, taken both ways at once:
+    the crossing's parameter comes from its key in closed form, and per
+    other grid one level value gives the next level up and down.  Builds no
+    Crossing.  Raises SingularMultigrid, for direction +1 before direction
+    -1, when the two nearest candidates in a direction are closer than
+    EPS_SINGULAR.
+    """
+    floor, ceil = math.floor, math.ceil
+    offsets = spec.offsets
+    r = offsets[i] + ki
+    t = (kj - (r * spec._dots[i][j] - offsets[j])) / spec._crosses[i][j]
+    up_dt = up_second = down_dt = down_second = math.inf
+    for l, s, dot, offset in spec._steps[i]:
+        base = r * dot - offset
+        u = base + t * s
+        above = floor(u + _SNAP) + 1
+        below = ceil(u - _SNAP) - 1
+        if s < 0:
+            above, below = below, above
+        tm = (above - base) / s
+        dt = tm - t
+        if dt < up_dt:
+            up_second, up_dt = up_dt, dt
+            up_l, up_m, up_t = l, above, tm
+        elif dt < up_second:
+            up_second = dt
+        tm = (below - base) / s
+        dt = t - tm
+        if dt < down_dt:
+            down_second, down_dt = down_dt, dt
+            down_l, down_m, down_t = l, below, tm
+        elif dt < down_second:
+            down_second = dt
+    for second, dt, tm in ((up_second, up_dt, up_t), (down_second, down_dt, down_t)):
+        if second - dt < EPS_SINGULAR:
+            raise SingularMultigrid(
+                f"two crossings coincide on line {LineId(i, ki)} near parameter {tm}")
+    return ((i, ki, up_l, up_m) if i < up_l else (up_l, up_m, i, ki),
+            (i, ki, down_l, down_m) if i < down_l else (down_l, down_m, i, ki))
 
 
 def nth_crossing(
@@ -346,6 +399,8 @@ def enumerate_crossings(
     spec: MultigridSpec, radius: float, center: complex = 0j,
 ) -> list[Crossing]:
     """All crossings with |point - center| <= radius, each exactly once."""
+    if not math.isfinite(radius):
+        raise ValidationError(f"radius must be finite, got {radius}")
     out: list[Crossing] = []
     for i in range(spec.d):
         g = spec.offsets[i]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from coronagrid import analysis, geom, graph, multigrid as mg
+from coronagrid import analysis, certify, geom, graph, multigrid as mg
 from coronagrid.dual import linear_dual
 from coronagrid.errors import DegenerateInput
 from coronagrid.geom import cross, perp
@@ -144,6 +144,23 @@ def test_convergence_offset_independent_target(pentagrid):
     seed = graph.Patch(frozenset([mg.nearest_crossing(other)]))
     rows = analysis.convergence_table(other, seed, [10, 40], "tiling")
     assert rows[-1].h < rows[0].h
+
+
+@pytest.mark.parametrize("side", ["multigrid", "tiling"])
+@pytest.mark.parametrize("spec", [certify.SQUARE]
+                         + [certify.random_multigrid(d, 40 + d) for d in range(3, 8)])
+def test_convergence_rows_equal_hulls_of_whole_coronas(spec, side):
+    """The hull grown frontier by frontier gives the same rows, bit for bit,
+    as the hull of each whole corona."""
+    seq = graph.corona_sequence(spec, graph.Patch(frozenset([mg.nearest_crossing(spec)])), 12)
+    ns = [1, 4, 4, 9, 12]
+    target = analysis.char_polygon(spec, side).polygon
+    want = []
+    for n in ns:
+        hull = analysis.normalized_shape(spec, seq.corona(n), n, side)
+        want.append(analysis.ConvergenceRow(n, side, hull,
+                                            geom.hausdorff_distance(hull, target)))
+    assert analysis.convergence_table(spec, seq.base, ns, side, sequence=seq) == want
 
 
 # endpoints -------------------------------------------------------------------

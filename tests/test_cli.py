@@ -77,7 +77,11 @@ def test_validation_exits_2(tmp_path, capsys):
                  # the window renders, then the viewport radius is refused
                  ["gen", "--dfold", "5", "--radius", "-3"],
                  # growth succeeds, then the 196-entry palette is refused
-                 ["corona", "--angles", "0,90", "--n", "195"]):
+                 ["corona", "--angles", "0,90", "--n", "195"],
+                 ["gen", "--dfold", "5", "--radius", "nan"],
+                 ["sandpile", "--dfold", "5", "--radius", "inf"],
+                 ["gen", "--config", str(tmp_path / "missing.cfg")],
+                 ["gen", "--config", str(tmp_path)]):
         assert run(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -157,6 +157,36 @@ def test_layers_and_distance_match_visited_set_bfs(spec, n_max, data):
                 graph.graph_distance(spec, seed, c, cap=n_max)
 
 
+def segment_neighbor_keys(spec, c):
+    """Reference for graph.neighbor_keys from the closed-form-and-sort segment
+    listing: on each line of c, the crossings just after and just before it.
+    Every other grid crosses the line within `half` on either side."""
+    half = max(1.0 / abs(spec.cross(i, l))
+               for i in (c.a.grid, c.b.grid) for l in range(spec.d) if l != i)
+    keys = []
+    for line in (c.a, c.b):
+        t = spec.line_parameter(line, c.point)
+        on_line = [x.key for x in mg.crossings_on_segment(spec, line, t - half, t + half)]
+        at = on_line.index(c.key)
+        assert 0 < at < len(on_line) - 1
+        keys += [on_line[at + 1], on_line[at - 1]]
+    return tuple(keys)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=small_multigrids(), data=st.data())
+def test_neighbor_keys_match_segment_listing(spec, data):
+    """Where neighbor_keys refuses, the reference must refuse too; crossings
+    that only the reference refuses are skipped."""
+    ball = sorted(mg.enumerate_crossings(spec, 3.0), key=lambda c: c.key)
+    for c in data.draw(st.lists(st.sampled_from(ball), min_size=1, max_size=8)):
+        try:
+            want = segment_neighbor_keys(spec, c)
+        except mg.SingularMultigrid:
+            continue
+        assert graph.neighbor_keys(spec, c.key) == want
+
+
 def test_frontier_growth_is_linear(pentagrid_run):
     f40 = len(pentagrid_run.frontiers[40])
     f80 = len(pentagrid_run.frontiers[80])
