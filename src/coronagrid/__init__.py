@@ -17,10 +17,9 @@ from .analysis import (
 )
 from .dual import Tile, TilingVertex, TilingWindow, dual_vertex, linear_dual, tile_of_crossing, tiling_window
 from .geom import Polygon, convex_hull, hausdorff_distance, perp, scalar_product, scale_polygon
-from .graph import CoronaSequence, Patch, corona_sequence, corona_step, graph_distance, make_patch, neighbors
+from .graph import CoronaSequence, Patch, corona_sequence, corona_step, graph_distance, neighbors
 from .multigrid import (
     Crossing,
-    DominantLines,
     Endpoints,
     LineId,
     MultigridSpec,
@@ -40,14 +39,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharPolygon", "ConvergenceRow", "CoronaSequence", "Crossing",
-    "DominantLines", "Endpoints", "LineId", "MultigridSpec", "Patch",
+    "Endpoints", "LineId", "MultigridSpec", "Patch",
     "Polygon", "SandpileConfig", "Tile", "TilingVertex", "TilingWindow",
     "add_grain_and_topple", "check_regular", "convergence_table",
     "convex_hull", "corona_sequence", "corona_step",
     "count_crossings_with_grid", "crossing_point", "crossings_on_segment",
     "dominant_lines", "dual_vertex", "endpoints", "endpoints_diagnostic",
     "graph_distance", "grid_char_polygon", "hausdorff_distance",
-    "linear_dual", "make_crossing", "make_patch", "max_stable",
+    "linear_dual", "make_crossing", "max_stable",
     "nearest_crossing", "neighbors", "normalized_shape", "nth_crossing",
     "perp", "scalar_product", "scale_polygon", "tile_of_crossing",
     "tiling_char_polygon", "tiling_window",

@@ -22,16 +22,12 @@ from .dual import linear_dual, tile_corner_keys, vertex_position
 from .errors import GridNotRepresented, ValidationError
 from .geom import Polygon, from_convex_vertices, hull_chain, perp
 from .graph import CoronaSequence, Patch, bfs_layers, corona_sequence, neighbors
-from .multigrid import (
-    Crossing,
-    DominantLines,
-    MultigridSpec,
-    dominant_lines,
-    endpoints,
-    enumerate_crossings,
-)
+from .multigrid import Crossing, LineId, MultigridSpec, dominant_lines, endpoints
 
 Side = Literal["multigrid", "tiling"]
+
+# Corona steps grow_until_dominant takes before it gives up.
+_MAX_DOMINANT_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -167,13 +163,13 @@ def convergence_table(
 
 
 def grow_until_dominant(
-    spec: MultigridSpec, patch: Patch, max_steps: int = 64,
-) -> tuple[Patch, DominantLines, int]:
+    spec: MultigridSpec, patch: Patch,
+) -> tuple[Patch, tuple[LineId, ...], int]:
     """Grow the patch by corona steps until every grid direction has a line
     through it, then choose dominant lines.  Returns (patch, lines, steps)."""
     layers = bfs_layers(patch.crossings, partial(neighbors, spec))
     ball: frozenset[Crossing] = frozenset()
-    for steps, layer in enumerate(islice(layers, max_steps + 1)):
+    for steps, layer in enumerate(islice(layers, _MAX_DOMINANT_STEPS + 1)):
         ball |= layer
         try:
             return Patch(ball), dominant_lines(spec, ball), steps
@@ -212,42 +208,4 @@ def endpoints_diagnostic(
         chain = hull_chain([p / scale for p in pts])
         h = geom.hausdorff_between(chain, target.vertices)
         rows.append(EndpointRow(n, h))
-    return rows
-
-
-@dataclass(frozen=True)
-class SandwichRow:
-    """Inner/outer deviation of a corona from n * charpolygon (gauge units).
-
-    outer: largest gauge excess of a corona point beyond n.
-    inner: n minus the largest level t such that every multigrid crossing of
-    gauge <= t belongs to the corona.
-    """
-
-    n: int
-    outer: float
-    inner: float
-
-    @property
-    def deviation(self) -> float:
-        return max(self.outer, self.inner)
-
-
-def corona_sandwich(
-    spec: MultigridSpec, seq: CoronaSequence, ns: Sequence[int],
-) -> list[SandwichRow]:
-    """Measure how tightly coronas are sandwiched between scaled copies of
-    the multigrid-side characteristic polygon."""
-    target = grid_char_polygon(spec).polygon
-    rows = []
-    for n in sorted(ns):
-        corona = seq.corona(n)
-        gauges = [geom.polygon_gauge(target, c.point) for c in corona]
-        outer = max(g - n for g in gauges)
-        radius = max(abs(c.point) for c in corona) + 1.0
-        missing = [geom.polygon_gauge(target, c.point)
-                   for c in enumerate_crossings(spec, radius)
-                   if c not in corona]
-        inner = n - min(missing) if missing else 0.0
-        rows.append(SandwichRow(n, outer, inner))
     return rows

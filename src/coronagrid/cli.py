@@ -101,7 +101,7 @@ def _spec_from_args(args) -> MultigridSpec:
             text = args.config.read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"--config: {exc}") from None
-        return io.parse_spec(text).spec
+        return io.parse_spec(text)
     offsets = _numbers(args.offsets, float, "--offsets")
     offsets_arg = offsets[0] if len(offsets) == 1 else io.normalized_offsets(offsets)
     if args.dfold is not None:

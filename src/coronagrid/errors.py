@@ -47,10 +47,6 @@ class GridNotRepresented(CoronagridError):
         self.missing = missing
 
 
-class DisconnectedPatch(CoronagridError):
-    """Patches must be connected in the multigrid graph."""
-
-
 class OnGridLine(CoronagridError):
     """Dualization is only defined on open cells, not on grid lines themselves."""
 

@@ -60,10 +60,6 @@ class Polygon:
     def n(self) -> int:
         return len(self.vertices)
 
-    def edges(self) -> list[tuple[complex, complex]]:
-        v = self.vertices
-        return [(v[k], v[(k + 1) % len(v)]) for k in range(len(v))]
-
 
 def _canonical_start(vertices: Sequence[complex]) -> tuple[complex, ...]:
     start = min(range(len(vertices)),
@@ -187,20 +183,3 @@ def hausdorff_between(va: Sequence[complex], vb: Sequence[complex]) -> float:
 def hausdorff_distance(a: Polygon, b: Polygon) -> float:
     """Symmetric Hausdorff distance between two convex polygons (filled)."""
     return hausdorff_between(a.vertices, b.vertices)
-
-
-def polygon_gauge(poly: Polygon, p: complex) -> float:
-    """Minkowski gauge of p: the least t >= 0 with p inside t*poly.
-
-    Requires the origin strictly inside the polygon (true for characteristic
-    polygons, which are centrally symmetric).
-    """
-    best = 0.0
-    for a, b in poly.edges():
-        den = cross(a, b)
-        if den <= EPS_GEOM:
-            raise DegenerateInput("origin not strictly inside polygon")
-        t = cross(a - b, p) / den
-        if t > best:
-            best = t
-    return best

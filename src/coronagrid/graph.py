@@ -18,30 +18,16 @@ from functools import partial
 from itertools import accumulate, islice
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .errors import DisconnectedPatch, ResourceLimit, Unreachable
-from .multigrid import Crossing, LineId, MultigridSpec, crossing_point, line_step_keys, make_crossing
+from .errors import ResourceLimit, Unreachable
+from .multigrid import Crossing, Key, LineId, MultigridSpec, crossing_point, make_crossing, neighbor_keys
 
 _CAP_ENV = "CORONAGRID_MAX_CROSSINGS"
 
 Node = TypeVar("Node", bound=Hashable)
-Key = tuple[int, int, int, int]
 
 
 def default_crossing_cap() -> int:
     return int(os.environ.get(_CAP_ENV, 2_000_000))
-
-
-def neighbor_keys(spec: MultigridSpec, key: Key) -> tuple[Key, Key, Key, Key]:
-    """Keys of the 4 crossings adjacent to the crossing with this key: the
-    next crossing along each of its lines, both ways (line a then line b,
-    direction +1 then -1).
-
-    A regular multigrid is infinite in every direction, so there are always
-    exactly 4.  Raises SingularMultigrid if consecutive-crossing order is
-    numerically unreliable near the crossing.
-    """
-    i, ki, j, kj = key
-    return line_step_keys(spec, i, ki, j, kj) + line_step_keys(spec, j, kj, i, ki)
 
 
 def neighbors(spec: MultigridSpec, c: Crossing) -> list[Crossing]:
@@ -52,9 +38,8 @@ def neighbors(spec: MultigridSpec, c: Crossing) -> list[Crossing]:
 
 @dataclass(frozen=True)
 class Patch:
-    """Finite, connected set of crossings.  Build with make_patch, which
-    validates connectivity; internal growth paths construct directly since
-    a superset grown by adjacency stays connected."""
+    """Finite, connected set of crossings: a seed crossing, or a set grown
+    from one by adjacency."""
 
     crossings: frozenset[Crossing]
 
@@ -89,22 +74,6 @@ def bfs_layers(
         nxt -= current
         nxt -= previous
         previous, current = current, frozenset(nxt)
-
-
-def make_patch(spec: MultigridSpec, crossings: Iterable[Crossing]) -> Patch:
-    """Validating Patch constructor: the set must be connected in the graph."""
-    cs = frozenset(crossings)
-    if not cs:
-        raise DisconnectedPatch("patch must be nonempty")
-
-    def inside(c: Crossing) -> list[Crossing]:
-        return [nb for nb in neighbors(spec, c) if nb in cs]
-
-    reached = sum(len(layer) for layer in bfs_layers([next(iter(cs))], inside))
-    if reached != len(cs):
-        raise DisconnectedPatch(
-            f"patch has {len(cs)} crossings but only {reached} reachable")
-    return Patch(cs)
 
 
 def corona_step(spec: MultigridSpec, patch: Patch) -> Patch:

@@ -7,14 +7,11 @@ comments to end of line)::
     angles: [0, 45, 90, 135]       # or: explicit normal angles in degrees
     normals: [(1.0, 0.0), ...]     # or: exact normal components (round-trip form)
     offsets: [0.5 x 5]             # list; "v x n" repeats v n times; scalar broadcasts
-    radius: 12                     # optional run parameters
-    n: [10, 20, 40, 80]
-    side: tiling
 
-Exactly one of dfold / angles / normals selects the directions.  Offsets
-outside [0, 1) are normalized mod 1 with a warning (the line families are
-unchanged).  SVG output is deterministic: rendering the same scene twice
-yields byte-identical documents.
+Exactly one of dfold / angles / normals selects the directions; any other
+key is a ParseError.  Offsets outside [0, 1) are normalized mod 1 with a
+warning (the line families are unchanged).  SVG output is deterministic:
+rendering the same scene twice yields byte-identical documents.
 """
 
 from __future__ import annotations
@@ -34,15 +31,8 @@ from .multigrid import MultigridSpec
 # ---------------------------------------------------------------------------
 # config parsing
 
-_KNOWN_KEYS = {"dfold", "angles", "normals", "offsets", "radius", "n", "side",
-               "rounds", "seed"}
+_KNOWN_KEYS = {"dfold", "angles", "normals", "offsets"}
 _REPEAT_RE = re.compile(r"^(.*?)\s*[x×]\s*(\d+)$")
-
-
-@dataclass(frozen=True)
-class ParsedConfig:
-    spec: MultigridSpec
-    params: dict
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -149,8 +139,8 @@ def normalized_offsets(offsets: Sequence[float]) -> list[float]:
     return out
 
 
-def parse_spec(text: str) -> ParsedConfig:
-    """Parse a config document into a MultigridSpec plus run parameters.
+def parse_spec(text: str) -> MultigridSpec:
+    """Parse a config document into a MultigridSpec.
 
     ParseError carries line/column for malformed text; semantically invalid
     geometry (parallel directions, unit-norm violations) raises
@@ -187,24 +177,18 @@ def parse_spec(text: str) -> ParsedConfig:
     if key == "dfold":
         if not isinstance(values["dfold"], int):
             raise ValidationError(f"dfold must be an integer, got {values['dfold']}")
-        spec = MultigridSpec.dfold(values["dfold"], offsets)
-    elif key == "angles":
-        spec = MultigridSpec.from_angles(values["angles"], offsets)
-    else:
-        normals = values["normals"]
-        if not all(isinstance(v, tuple) for v in normals):
-            raise ValidationError("normals must be (re, im) pairs")
-        if isinstance(offsets, (int, float)):
-            offsets = [float(offsets)] * len(normals)
-        spec = MultigridSpec(tuple(complex(re_, im_) for re_, im_ in normals),
-                             tuple(offsets))
-
-    params = {k: v for k, v in values.items()
-              if k not in ("dfold", "angles", "normals", "offsets")}
-    return ParsedConfig(spec, params)
+        return MultigridSpec.dfold(values["dfold"], offsets)
+    if key == "angles":
+        return MultigridSpec.from_angles(values["angles"], offsets)
+    normals = values["normals"]
+    if not all(isinstance(v, tuple) for v in normals):
+        raise ValidationError("normals must be (re, im) pairs")
+    if isinstance(offsets, (int, float)):
+        offsets = [float(offsets)] * len(normals)
+    return MultigridSpec(tuple(complex(re_, im_) for re_, im_ in normals), tuple(offsets))
 
 
-def serialize_spec(spec: MultigridSpec, params: dict | None = None) -> str:
+def serialize_spec(spec: MultigridSpec) -> str:
     """Emit a config document that parses back to a bit-identical spec.
 
     Uses the exact normals form (repr precision); angles in degrees cannot
@@ -214,11 +198,6 @@ def serialize_spec(spec: MultigridSpec, params: dict | None = None) -> str:
         "normals: [" + ", ".join(f"({z.real!r}, {z.imag!r})" for z in spec.normals) + "]",
         "offsets: [" + ", ".join(repr(g) for g in spec.offsets) + "]",
     ]
-    for k, v in (params or {}).items():
-        if isinstance(v, (list, tuple)):
-            lines.append(f"{k}: [" + ", ".join(str(x) for x in v) + "]")
-        else:
-            lines.append(f"{k}: {v}")
     return "\n".join(lines) + "\n"
 
 

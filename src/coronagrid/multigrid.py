@@ -47,6 +47,9 @@ class LineId(NamedTuple):
     k: int
 
 
+Key = tuple[int, int, int, int]   # crossing identity (i, ki, j, kj), i < j
+
+
 @dataclass(frozen=True)
 class MultigridSpec:
     """Immutable multigrid instance: d unit normals and offsets in [0, 1).
@@ -161,22 +164,12 @@ class Crossing:
     point: complex = field(compare=False)
 
     @property
-    def key(self) -> tuple[int, int, int, int]:
+    def key(self) -> Key:
         return (self.a.grid, self.a.k, self.b.grid, self.b.k)
 
     @property
     def grids(self) -> tuple[int, int]:
         return (self.a.grid, self.b.grid)
-
-    def line_of_grid(self, i: int) -> LineId:
-        if self.a.grid == i:
-            return self.a
-        if self.b.grid == i:
-            return self.b
-        raise SameGrid(f"crossing {self.key} has no line of grid {i}")
-
-    def other_line(self, line: LineId) -> LineId:
-        return self.b if line == self.a else self.a
 
 
 def crossing_point(spec: MultigridSpec, a: LineId, b: LineId) -> complex:
@@ -270,7 +263,7 @@ def count_crossings_with_grid(
     return math.ceil(u0 - _SNAP) - math.ceil(u1 - _SNAP)
 
 
-def crossing_at(spec: MultigridSpec, z: complex, tol: float = 1e-6) -> Crossing:
+def crossing_at(spec: MultigridSpec, z: complex) -> Crossing:
     """The crossing sitting at point z, if there is one.
 
     Raises NotACrossing unless exactly two grid levels of z are integral.
@@ -279,69 +272,27 @@ def crossing_at(spec: MultigridSpec, z: complex, tol: float = 1e-6) -> Crossing:
     for i in range(spec.d):
         u = spec.level(i, z)
         k = round(u)
-        if abs(u - k) <= tol:
+        if abs(u - k) <= 1e-6:
             on.append(LineId(i, k))
     if len(on) != 2:
         raise NotACrossing(f"{z} lies on {len(on)} grid lines, need exactly 2")
     return make_crossing(spec, on[0], on[1])
 
 
-def next_crossing_on_line(
-    spec: MultigridSpec, line: LineId, t: float, direction: int,
-) -> tuple[float, Crossing]:
-    """First crossing of `line` strictly beyond parameter t in the given
-    direction (+1/-1).  Returns (parameter, crossing).
+def line_steps(
+    spec: MultigridSpec, i: int, k: int, t: float,
+) -> tuple[tuple[int, int, float, float], tuple[int, int, float, float]]:
+    """The nearest crossings of line (i, k) strictly beyond parameter t:
+    ``(up, down)`` for directions +1 and -1, each ``(grid, level, parameter,
+    gap)``, where gap is the distance to the runner-up candidate.
 
-    O(d): per other grid, the next integer level is found in closed form.
-    Raises SingularMultigrid when the two nearest candidates are closer than
-    EPS_SINGULAR (their order would be numerically meaningless).
-    """
-    i, k = line
-    best_dt = math.inf
-    second_dt = math.inf
-    best_j = best_m = -1
-    best_t = t
-    for j in range(spec.d):
-        if j == i:
-            continue
-        s = spec.cross(i, j)
-        base = (spec.offsets[i] + k) * spec.dot(i, j) - spec.offsets[j]
-        u_t = base + t * s
-        if direction * s > 0:
-            m = math.floor(u_t + _SNAP) + 1
-        else:
-            m = math.ceil(u_t - _SNAP) - 1
-        tm = (m - base) / s
-        dt = direction * (tm - t)
-        if dt < best_dt:
-            second_dt = best_dt
-            best_dt = dt
-            best_j, best_m, best_t = j, m, tm
-        elif dt < second_dt:
-            second_dt = dt
-    if second_dt - best_dt < EPS_SINGULAR:
-        raise SingularMultigrid(
-            f"two crossings coincide on line {line} near parameter {best_t}")
-    return best_t, make_crossing(spec, line, LineId(best_j, best_m))
-
-
-def line_step_keys(
-    spec: MultigridSpec, i: int, ki: int, j: int, kj: int,
-) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
-    """Keys of the crossings just after and just before the crossing of
-    lines (i, ki) and (j, kj), walking along line (i, ki).
-
-    The key-level form of next_crossing_on_line, taken both ways at once:
-    the crossing's parameter comes from its key in closed form, and per
-    other grid one level value gives the next level up and down.  Builds no
-    Crossing.  Raises SingularMultigrid, for direction +1 before direction
-    -1, when the two nearest candidates in a direction are closer than
-    EPS_SINGULAR.
+    O(d): per other grid, one level value gives the next integer level both
+    ways in closed form.  Refuses nothing; callers refuse a gap below
+    EPS_SINGULAR, where the order of the two candidates would be
+    numerically meaningless.
     """
     floor, ceil = math.floor, math.ceil
-    offsets = spec.offsets
-    r = offsets[i] + ki
-    t = (kj - (r * spec._dots[i][j] - offsets[j])) / spec._crosses[i][j]
+    r = spec.offsets[i] + k
     up_dt = up_second = down_dt = down_second = math.inf
     for l, s, dot, offset in spec._steps[i]:
         base = r * dot - offset
@@ -364,12 +315,50 @@ def line_step_keys(
             down_l, down_m, down_t = l, below, tm
         elif dt < down_second:
             down_second = dt
-    for second, dt, tm in ((up_second, up_dt, up_t), (down_second, down_dt, down_t)):
-        if second - dt < EPS_SINGULAR:
-            raise SingularMultigrid(
-                f"two crossings coincide on line {LineId(i, ki)} near parameter {tm}")
-    return ((i, ki, up_l, up_m) if i < up_l else (up_l, up_m, i, ki),
-            (i, ki, down_l, down_m) if i < down_l else (down_l, down_m, i, ki))
+    return ((up_l, up_m, up_t, up_second - up_dt),
+            (down_l, down_m, down_t, down_second - down_dt))
+
+
+def next_crossing_on_line(
+    spec: MultigridSpec, line: LineId, t: float, direction: int,
+) -> tuple[float, Crossing]:
+    """First crossing of `line` strictly beyond parameter t in the given
+    direction (+1/-1).  Returns (parameter, crossing).
+
+    Raises SingularMultigrid when the two nearest candidates are closer than
+    EPS_SINGULAR (their order would be numerically meaningless).
+    """
+    j, m, tm, gap = line_steps(spec, line.grid, line.k, t)[direction < 0]
+    if gap < EPS_SINGULAR:
+        raise SingularMultigrid(
+            f"two crossings coincide on line {line} near parameter {tm}")
+    return tm, make_crossing(spec, line, LineId(j, m))
+
+
+def neighbor_keys(spec: MultigridSpec, key: Key) -> tuple[Key, Key, Key, Key]:
+    """Keys of the 4 crossings adjacent to the crossing with this key: the
+    next crossing along each of its lines, both ways (line a then line b,
+    direction +1 then -1).  Builds no Crossing.
+
+    A regular multigrid is infinite in every direction, so there are always
+    exactly 4.  Each line's parameter comes from the key in closed form.
+    Raises SingularMultigrid, for line a before line b and direction +1
+    before -1, when the two nearest candidates in a direction are closer
+    than EPS_SINGULAR.
+    """
+    i, ki, j, kj = key
+    offsets = spec.offsets
+    ri, rj = offsets[i] + ki, offsets[j] + kj
+    ta = (kj - (ri * spec._dots[i][j] - offsets[j])) / spec._crosses[i][j]
+    tb = (ki - (rj * spec._dots[j][i] - offsets[i])) / spec._crosses[j][i]
+    out = []
+    for g, k, t in ((i, ki, ta), (j, kj, tb)):
+        for l, m, tm, gap in line_steps(spec, g, k, t):
+            if gap < EPS_SINGULAR:
+                raise SingularMultigrid(
+                    f"two crossings coincide on line {LineId(g, k)} near parameter {tm}")
+            out.append((g, k, l, m) if g < l else (l, m, g, k))
+    return tuple(out)
 
 
 def nth_crossing(
@@ -395,26 +384,20 @@ def nth_crossing(
     return crossing
 
 
-def enumerate_crossings(
-    spec: MultigridSpec, radius: float, center: complex = 0j,
-) -> list[Crossing]:
-    """All crossings with |point - center| <= radius, each exactly once."""
+def enumerate_crossings(spec: MultigridSpec, radius: float) -> list[Crossing]:
+    """All crossings with |point| <= radius, each exactly once."""
     if not math.isfinite(radius):
         raise ValidationError(f"radius must be finite, got {radius}")
     out: list[Crossing] = []
     for i in range(spec.d):
         g = spec.offsets[i]
-        proj = scalar_product(center, spec.normals[i])
-        k_min = math.ceil(proj - radius - g)
-        k_max = math.floor(proj + radius - g)
-        for k in range(k_min, k_max + 1):
+        for k in range(math.ceil(-radius - g), math.floor(radius - g) + 1):
             line = LineId(i, k)
-            dist = abs(g + k - proj)
+            dist = g + k   # distance of the line from the origin, up to sign
             half = math.sqrt(max(radius * radius - dist * dist, 0.0))
-            t_mid = spec.line_parameter(line, center)
             for j in range(i + 1, spec.d):
                 out.extend(c for _, c in _segment_crossings_with_grid(
-                    spec, line, j, t_mid - half - _SNAP, t_mid + half))
+                    spec, line, j, -half - _SNAP, half))
     return out
 
 
@@ -470,22 +453,9 @@ def check_regular(spec: MultigridSpec, window_radius: float) -> RegularityReport
     return RegularityReport(window_radius, len(crossings), singular)
 
 
-@dataclass(frozen=True)
-class DominantLines:
-    """One chosen line per grid direction, indexed by grid."""
-
-    lines: tuple[LineId, ...]
-
-    def __getitem__(self, i: int) -> LineId:
-        return self.lines[i]
-
-    def __iter__(self):
-        return iter(self.lines)
-
-
-def dominant_lines(spec: MultigridSpec, crossings: Iterable[Crossing]) -> DominantLines:
-    """Per grid direction, the line through the given crossings closest to
-    the origin (tie-break: smaller k).
+def dominant_lines(spec: MultigridSpec, crossings: Iterable[Crossing]) -> tuple[LineId, ...]:
+    """Per grid direction, indexed by grid, the line through the given
+    crossings closest to the origin (tie-break: smaller k).
 
     Raises GridNotRepresented if some grid has no line through the set; the
     caller should grow the patch first.
@@ -501,7 +471,7 @@ def dominant_lines(spec: MultigridSpec, crossings: Iterable[Crossing]) -> Domina
     for i in range(spec.d):
         k = min(candidates[i], key=lambda k: (abs(spec.offsets[i] + k), k))
         chosen.append(LineId(i, k))
-    return DominantLines(tuple(chosen))
+    return tuple(chosen)
 
 
 @dataclass(frozen=True)
@@ -517,7 +487,7 @@ class Endpoints:
 
 def endpoints(
     spec: MultigridSpec,
-    lines: DominantLines,
+    lines: Sequence[LineId],
     crossings: Iterable[Crossing],
     n: int,
 ) -> Endpoints:
@@ -542,15 +512,15 @@ def endpoints(
     return Endpoints(n, tuple(pairs))
 
 
-def nearest_crossing(spec: MultigridSpec, z: complex = 0j) -> Crossing:
-    """The crossing nearest to z (used for canonical seed patches)."""
+def nearest_crossing(spec: MultigridSpec) -> Crossing:
+    """The crossing nearest to the origin (used for canonical seed patches)."""
     radius = 1.0
     while radius < 1e6:
-        found = enumerate_crossings(spec, radius, center=z)
+        found = enumerate_crossings(spec, radius)
         if found:
-            return min(found, key=lambda c: (abs(c.point - z), c.key))
+            return min(found, key=lambda c: (abs(c.point), c.key))
         radius *= 2
-    raise NotACrossing(f"no crossing within 1e6 of {z}")
+    raise NotACrossing("no crossing within 1e6 of the origin")
 
 
 def adjacent_direction_pairs(spec: MultigridSpec) -> list[tuple[int, int]]:

@@ -20,16 +20,17 @@ from itertools import islice
 
 from .dual import TilingWindow
 from .errors import BoundaryContamination, ValidationError
-from .graph import bfs_layers, neighbors
-from .multigrid import Crossing
+from .graph import bfs_layers
+from .multigrid import Crossing, neighbor_keys
 
 
 def window_adjacency(window: TilingWindow) -> dict[Crossing, tuple[Crossing, ...]]:
     """In-window tile adjacency (tiles share an edge iff their crossings are
-    consecutive on a common line, i.e. graph neighbors)."""
-    present = window.tiles.keys()
-    return {c: tuple(nb for nb in neighbors(window.spec, c) if nb in present)
-            for c in present}
+    consecutive on a common line, i.e. graph neighbors), in neighbor_keys
+    order.  The neighbors are the window's own Crossing objects."""
+    by_key = {c.key: c for c in window.tiles}
+    return {c: tuple(by_key[k] for k in neighbor_keys(window.spec, key) if k in by_key)
+            for key, c in by_key.items()}
 
 
 @dataclass
@@ -59,12 +60,12 @@ def max_stable(window: TilingWindow) -> SandpileConfig:
     return SandpileConfig(window, adjacency, grains, {})
 
 
-def _boundary_halo(config: SandpileConfig, depth: int = 2) -> set[Crossing]:
-    """Tiles within graph distance `depth` of the window boundary (tiles
-    whose infinite-graph neighborhood is clipped by the window)."""
+def _boundary_halo(config: SandpileConfig) -> set[Crossing]:
+    """Tiles within graph distance 2 of the window boundary (tiles whose
+    infinite-graph neighborhood is clipped by the window)."""
     boundary = [c for c, nbs in config.adjacency.items() if len(nbs) < 4]
     layers = bfs_layers(boundary, config.adjacency.__getitem__)
-    return set().union(*islice(layers, depth + 1))
+    return set().union(*islice(layers, 3))
 
 
 def add_grain_and_topple(

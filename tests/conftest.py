@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from coronagrid import MultigridSpec, Patch, corona_sequence, nearest_crossing
+
+# Every property test: a fixed, replayable example sequence and no deadline.
+settings.register_profile("coronagrid", max_examples=40, deadline=None,
+                          derandomize=True, database=None)
+settings.load_profile("coronagrid")
 
 
 @pytest.fixture(scope="session")

@@ -193,12 +193,3 @@ def test_grow_until_dominant(pentagrid):
     assert represented == set(range(5))
     for i in range(5):
         assert any(lines[i] in (c.a, c.b) for c in patch.crossings)
-
-
-# sandwich --------------------------------------------------------------------
-
-def test_corona_sandwich_deviation_settles(pentagrid, pentagrid_run):
-    rows = analysis.corona_sandwich(pentagrid, pentagrid_run, [20, 40, 80])
-    devs = [r.deviation for r in rows]
-    assert devs[0] >= devs[1] >= devs[2]
-    assert all(0 <= d < 5 for d in devs)

@@ -63,6 +63,8 @@ def test_sandpile_report(tmp_path):
 def test_validation_exits_2(tmp_path, capsys):
     """Exit 2 with one error line (no traceback, no warning) and no artifacts."""
     out = tmp_path / "out"
+    run_params = tmp_path / "run.cfg"
+    run_params.write_text("dfold: 5\nradius: 3\n")
     assert run(["gen", "--angles", "0,0", "--out", str(out)]) == 2
     assert "parallel" in capsys.readouterr().err
     for argv in (["gen"],
@@ -81,7 +83,8 @@ def test_validation_exits_2(tmp_path, capsys):
                  ["gen", "--dfold", "5", "--radius", "nan"],
                  ["sandpile", "--dfold", "5", "--radius", "inf"],
                  ["gen", "--config", str(tmp_path / "missing.cfg")],
-                 ["gen", "--config", str(tmp_path)]):
+                 ["gen", "--config", str(tmp_path)],
+                 ["gen", "--config", str(run_params)]):
         assert run(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -118,7 +118,8 @@ def test_hausdorff_concentric_decagons():
     # oracle: dense boundary sampling of both polygons
     def boundary(poly, steps=200):
         pts = []
-        for a, b in poly.edges():
+        v = poly.vertices
+        for a, b in zip(v, v[1:] + v[:1]):
             pts.extend(a + (b - a) * k / steps for k in range(steps))
         return pts
     d1 = max(geom.dist_point_convex(p, big.vertices) for p in boundary(small))
@@ -177,12 +178,3 @@ def test_scale_rejects_nonpositive_ratio():
     with pytest.raises(NonPositiveRatio):
         geom.scale_polygon(unit_square(), 0.0)
 
-
-# gauge ---------------------------------------------------------------------
-
-def test_polygon_gauge_matches_boundary():
-    p = _decagon(2.0)
-    for v in p.vertices:
-        assert geom.polygon_gauge(p, v) == pytest.approx(1.0, abs=1e-12)
-        assert geom.polygon_gauge(p, 0.5 * v) == pytest.approx(0.5, abs=1e-12)
-        assert geom.polygon_gauge(p, 3.0 * v) == pytest.approx(3.0, abs=1e-12)

@@ -2,11 +2,11 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from coronagrid import graph, multigrid as mg
 from coronagrid.certify import random_multigrid
-from coronagrid.errors import DisconnectedPatch, ResourceLimit, Unreachable
+from coronagrid.errors import ResourceLimit, Unreachable
 from coronagrid.multigrid import LineId
 
 
@@ -137,7 +137,6 @@ def small_multigrids(draw):
     return mg.MultigridSpec.from_angles(angles, offsets)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(spec=small_multigrids(), n_max=st.integers(0, 5), data=st.data())
 def test_layers_and_distance_match_visited_set_bfs(spec, n_max, data):
     seed = mg.nearest_crossing(spec)
@@ -157,34 +156,47 @@ def test_layers_and_distance_match_visited_set_bfs(spec, n_max, data):
                 graph.graph_distance(spec, seed, c, cap=n_max)
 
 
-def segment_neighbor_keys(spec, c):
-    """Reference for graph.neighbor_keys from the closed-form-and-sort segment
-    listing: on each line of c, the crossings just after and just before it.
-    Every other grid crosses the line within `half` on either side."""
+def segment_neighbors(spec, c):
+    """Reference for the line walk from the closed-form-and-sort segment
+    listing: per line of c (a, then b), the line, c's parameter on it, and
+    the crossings just after and just before c.  Every other grid crosses
+    the line within `half` on either side."""
     half = max(1.0 / abs(spec.cross(i, l))
                for i in (c.a.grid, c.b.grid) for l in range(spec.d) if l != i)
-    keys = []
+    out = []
     for line in (c.a, c.b):
         t = spec.line_parameter(line, c.point)
-        on_line = [x.key for x in mg.crossings_on_segment(spec, line, t - half, t + half)]
-        at = on_line.index(c.key)
+        on_line = mg.crossings_on_segment(spec, line, t - half, t + half)
+        at = on_line.index(c)
         assert 0 < at < len(on_line) - 1
-        keys += [on_line[at + 1], on_line[at - 1]]
-    return tuple(keys)
+        out.append((line, t, on_line[at + 1], on_line[at - 1]))
+    return out
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(spec=small_multigrids(), data=st.data())
 def test_neighbor_keys_match_segment_listing(spec, data):
-    """Where neighbor_keys refuses, the reference must refuse too; crossings
-    that only the reference refuses are skipped."""
+    """neighbor_keys, and next_crossing_on_line both ways from c's own
+    parameter and from parameters off it by half the gap to the nearer
+    neighbor.  Where either refuses, the reference must refuse too;
+    crossings that only the reference refuses are skipped."""
     ball = sorted(mg.enumerate_crossings(spec, 3.0), key=lambda c: c.key)
     for c in data.draw(st.lists(st.sampled_from(ball), min_size=1, max_size=8)):
         try:
-            want = segment_neighbor_keys(spec, c)
+            lines = segment_neighbors(spec, c)
         except mg.SingularMultigrid:
             continue
-        assert graph.neighbor_keys(spec, c.key) == want
+        assert graph.neighbor_keys(spec, c.key) == tuple(
+            x.key for _, _, after, before in lines for x in (after, before))
+        for line, t, after, before in lines:
+            t_after = spec.line_parameter(line, after.point)
+            t_before = spec.line_parameter(line, before.point)
+            off = min(t_after - t, t - t_before) / 2
+            for start, direction, want in ((t, 1, after), (t, -1, before),
+                                           (t + off, 1, after), (t + off, -1, c),
+                                           (t - off, 1, c), (t - off, -1, before)):
+                tm, got = mg.next_crossing_on_line(spec, line, start, direction)
+                assert got == want, (line, start, direction)
+                assert tm == pytest.approx(spec.line_parameter(line, want.point), abs=1e-9)
 
 
 def test_frontier_growth_is_linear(pentagrid_run):
@@ -249,15 +261,15 @@ def test_two_line_additivity_on_seven_grid():
     done = 0
     while done < 30:
         i, j = adj[rng.randrange(len(adj))]
-        c = mg.make_crossing(spec, LineId(i, rng.randint(-4, 4)),
-                             LineId(j, rng.randint(-4, 4)))
+        line_i, line_j = LineId(i, rng.randint(-4, 4)), LineId(j, rng.randint(-4, 4))
+        c = mg.make_crossing(spec, line_i, line_j)
         if abs(c.point) > 12:
             continue
         sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
-        a = mg.nth_crossing(spec, c.line_of_grid(i), c.point, sa, rng.randint(1, 4))
-        b = mg.nth_crossing(spec, c.line_of_grid(j), c.point, sb, rng.randint(1, 4))
+        a = mg.nth_crossing(spec, line_i, c.point, sa, rng.randint(1, 4))
+        b = mg.nth_crossing(spec, line_j, c.point, sb, rng.randint(1, 4))
         if scalar_product(c.point - a.point, b.point - c.point) < 0:
-            b = mg.nth_crossing(spec, c.line_of_grid(j), c.point, -sb,
+            b = mg.nth_crossing(spec, line_j, c.point, -sb,
                                 rng.randint(1, 4))
         if scalar_product(c.point - a.point, b.point - c.point) < 0:
             continue
@@ -299,27 +311,6 @@ def test_crossing_types_relatively_dense(pentagrid):
             frontier = nxt
         assert not missing, \
             f"types {missing} not found near {z.key} within r={radius}, k={k_bound}"
-
-
-# patch validation -----------------------------------------------------------
-
-def test_make_patch_accepts_connected(square):
-    a = square_crossing(square, 0, 0)
-    b = square_crossing(square, 1, 0)
-    patch = graph.make_patch(square, [a, b])
-    assert len(patch) == 2
-
-
-def test_make_patch_rejects_disconnected(square):
-    a = square_crossing(square, 0, 0)
-    b = square_crossing(square, 5, 5)
-    with pytest.raises(DisconnectedPatch):
-        graph.make_patch(square, [a, b])
-
-
-def test_make_patch_rejects_empty(square):
-    with pytest.raises(DisconnectedPatch):
-        graph.make_patch(square, [])
 
 
 # the growth-speed counterexample ---------------------------------------------

@@ -13,34 +13,33 @@ from coronagrid.multigrid import MultigridSpec
 # parsing ---------------------------------------------------------------------
 
 def test_parse_dfold_single_line():
-    parsed = cio.parse_spec("dfold: 5, offsets: [0.5 x 5]")
-    assert parsed.spec == MultigridSpec.dfold(5, 0.5)
-    assert parsed.params == {}
+    assert cio.parse_spec("dfold: 5, offsets: [0.5 x 5]") == MultigridSpec.dfold(5, 0.5)
 
 
 def test_parse_angles_with_params_and_comments():
+    """Run parameters are not part of a spec: each is an unknown key."""
     text = """
     # four directions, paper-style
     angles: [0, 45, 90, 135]
     offsets: [0.5 × 4]   # unicode repeat sign
-    radius: 12
-    n: [10, 20, 40]
-    side: tiling
     """
-    parsed = cio.parse_spec(text)
-    assert parsed.spec.d == 4
-    assert parsed.spec.offsets == (0.5,) * 4
-    assert parsed.params == {"radius": 12, "n": [10, 20, 40], "side": "tiling"}
+    spec = cio.parse_spec(text)
+    assert spec.d == 4
+    assert spec.offsets == (0.5,) * 4
+    for param in ("radius: 12", "n: [10, 20, 40]", "side: tiling", "rounds: 5", "seed: 1"):
+        with pytest.raises(ParseError, match="unknown key") as err:
+            cio.parse_spec(text + "    " + param + "\n")
+        assert (err.value.line, err.value.column) == (5, 9)
 
 
 def test_parse_offsets_scalar_broadcast():
-    spec = cio.parse_spec("dfold: 7\noffsets: 0.25").spec
+    spec = cio.parse_spec("dfold: 7\noffsets: 0.25")
     assert spec.offsets == (0.25,) * 7
 
 
 def test_parse_normalizes_offsets_with_warning():
     with pytest.warns(UserWarning, match="normalized"):
-        spec = cio.parse_spec("dfold: 5\noffsets: [1.25, -0.5, 0.5, 0.5, 0.5]").spec
+        spec = cio.parse_spec("dfold: 5\noffsets: [1.25, -0.5, 0.5, 0.5, 0.5]")
     assert spec.offsets == (0.25, 0.5, 0.5, 0.5, 0.5)
 
 
@@ -72,12 +71,7 @@ def test_parse_errors_carry_position():
 
 def test_roundtrip_exact():
     spec = MultigridSpec.from_angles([0, 36.5, 77.1, 103.4], [0.12, 0.9, 0.3, 0.41])
-    params = {"radius": 9.5, "n": [5, 10], "side": "multigrid"}
-    text = cio.serialize_spec(spec, params)
-    back = cio.parse_spec(text)
-    assert back.spec == spec  # dataclass equality: bit-exact floats
-    assert back.params["n"] == [5, 10]
-    assert back.params["side"] == "multigrid"
+    assert cio.parse_spec(cio.serialize_spec(spec)) == spec  # bit-exact floats
 
 
 # SVG -------------------------------------------------------------------------

@@ -199,8 +199,10 @@ def test_nth_crossing_matches_segment_list(pentagrid):
     line = LineId(1, 2)
     start = pentagrid.line_point(line, -3.7)
     cs = mg.crossings_on_segment(pentagrid, line, -3.7, 30.0)
+    back = mg.crossings_on_segment(pentagrid, line, -40.0, -3.7)[::-1]
     for n in (1, 5, 20):
         assert mg.nth_crossing(pentagrid, line, start, +1, n) == cs[n - 1]
+        assert mg.nth_crossing(pentagrid, line, start, -1, n) == back[n - 1]
 
 
 def test_nth_crossing_speed_matches_spacing(pentagrid):
@@ -244,7 +246,7 @@ def test_dominant_lines_postcondition(pentagrid):
     cs = mg.enumerate_crossings(pentagrid, 2.5)
     dom = mg.dominant_lines(pentagrid, cs)
     for i in range(5):
-        ks = {c.line_of_grid(i).k for c in cs if i in c.grids}
+        ks = {(c.a if c.a.grid == i else c.b).k for c in cs if i in c.grids}
         assert dom[i].k in ks
         assert all(abs(pentagrid.offsets[i] + dom[i].k)
                    <= abs(pentagrid.offsets[i] + k) + 1e-12 for k in ks)

@@ -27,6 +27,17 @@ def test_max_stable_degrees(square, square_window):
     assert all(config.grains[c] == 3 for c in interior)
 
 
+def test_window_adjacency_is_graph_adjacency_on_window_tiles(pentagrid, penta_window):
+    """In-window neighbors in neighbors() order, as the window's own objects."""
+    adjacency = sandpile.window_adjacency(penta_window)
+    tiles = {id(c) for c in penta_window.tiles}
+    assert list(adjacency) == list(penta_window.tiles)
+    for c, nbs in adjacency.items():
+        assert list(nbs) == [nb for nb in graph.neighbors(pentagrid, c)
+                             if nb in penta_window.tiles]
+        assert all(id(nb) in tiles for nb in nbs)
+
+
 def test_round_one_only_seed_topples(square, square_window):
     at = mg.make_crossing(square, LineId(0, 0), LineId(1, 0))
     config = sandpile.max_stable(square_window)
