@@ -21,7 +21,7 @@ from .geom import EPS_GEOM, scalar_product
 from .multigrid import EPS_SINGULAR, Crossing, MultigridSpec, enumerate_crossings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TilingVertex:
     """Vertex of the dual tiling: integer key vector plus cached position."""
 
@@ -62,7 +62,7 @@ def linear_dual(spec: MultigridSpec, z: complex) -> complex:
     return sum(scalar_product(z, n) * n for n in spec.normals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tile:
     """Unit rhombus dual to one crossing.
 
@@ -155,13 +155,19 @@ class TilingWindow:
 def tiling_window(spec: MultigridSpec, radius: float) -> TilingWindow:
     """Extract the dual-tiling window over all crossings with |point| <= radius.
 
-    Vertices are deduplicated by key.  Raises SingularMultigrid if any
-    crossing in the window has a third line within EPS_SINGULAR.
+    Vertices are deduplicated by key: each corner key is looked up in the
+    vertex pool first, so every vertex is built once and shared by the tiles
+    around it.  Raises SingularMultigrid if any crossing in the window has a
+    third line within EPS_SINGULAR.
     """
     vertex_pool: dict[tuple[int, ...], TilingVertex] = {}
     tiles: dict[Crossing, Tile] = {}
     for c in enumerate_crossings(spec, radius):
-        tile = tile_of_crossing(spec, c)
-        corners = tuple(vertex_pool.setdefault(v.key, v) for v in tile.corners)
-        tiles[c] = Tile(c, corners)
+        corners = []
+        for key in tile_corner_keys(spec, c):
+            vertex = vertex_pool.get(key)
+            if vertex is None:
+                vertex = vertex_pool[key] = TilingVertex.from_key(spec, key)
+            corners.append(vertex)
+        tiles[c] = Tile(c, tuple(corners))
     return TilingWindow(spec, radius, tiles)

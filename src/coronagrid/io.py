@@ -209,11 +209,11 @@ def _fmt(x: float) -> str:
 
 
 def greyscale_palette(count: int) -> list[str]:
-    """`count` distinguishable greys, darkest first (seed patch darkest)."""
+    """`count` greys from #282828 to #ebebeb, darkest first (seed patch
+    darkest).  Up to 196 entries they are distinct; longer palettes are
+    quantized to those 196 levels, so neighboring entries repeat a grey."""
     if count < 1:
         raise ValidationError("palette needs at least one entry")
-    if count > 195:
-        raise ValidationError(f"greyscale palette limited to 195 entries, got {count}")
     if count == 1:
         levels = [40]
     else:
@@ -256,7 +256,7 @@ class SceneSpec:
 
 def _path(points: Iterable[complex]) -> str:
     """Closed SVG path through the points."""
-    return "M" + " L".join(f"{_fmt(p.real)} {_fmt(-p.imag)}" for p in points) + " Z"
+    return "M" + " L".join(f"{p.real:.6f} {-p.imag:.6f}" for p in points) + " Z"
 
 
 def render_svg(scene: SceneSpec) -> str:
@@ -381,10 +381,16 @@ def write_tiles_csv(window: TilingWindow, fp: TextIO) -> None:
     head += [f"key{q}" for q in range(4)]
     head += [x for q in range(4) for x in (f"x{q}", f"y{q}")]
     fp.write(",".join(head) + "\n")
-    for c in window.crossings():
-        tile = window.tiles[c]
-        cells = [str(c.a.grid), str(c.b.grid), str(c.a.k), str(c.b.k)]
-        cells += [" ".join(str(v) for v in corner.key) for corner in tile.corners]
+    # each vertex is shared by several tiles: format its cells once
+    key_cells: dict[tuple[int, ...], str] = {}
+    xy_cells: dict[tuple[int, ...], str] = {}
+    for tile in window.tiles.values():
         for corner in tile.corners:
-            cells += [repr(corner.position.real), repr(corner.position.imag)]
-        fp.write(",".join(cells) + "\n")
+            if corner.key not in key_cells:
+                key_cells[corner.key] = " ".join(map(str, corner.key))
+                xy_cells[corner.key] = f"{corner.position.real!r},{corner.position.imag!r}"
+    for c in window.crossings():
+        keys = [corner.key for corner in window.tiles[c].corners]
+        fp.write(",".join([str(c.a.grid), str(c.b.grid), str(c.a.k), str(c.b.k),
+                           *map(key_cells.__getitem__, keys),
+                           *map(xy_cells.__getitem__, keys)]) + "\n")

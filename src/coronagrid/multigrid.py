@@ -151,7 +151,7 @@ class MultigridSpec:
         return scalar_product(z, perp(self.normals[line.grid]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crossing:
     """Intersection of two lines of distinct grids; a.grid < b.grid canonically.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterable
 
 from .dual import TilingWindow
 from .errors import BoundaryContamination, ValidationError
@@ -60,11 +61,11 @@ def max_stable(window: TilingWindow) -> SandpileConfig:
     return SandpileConfig(window, adjacency, grains, {})
 
 
-def _boundary_halo(config: SandpileConfig) -> set[Crossing]:
+def _boundary_halo(neighbors: list[tuple[int, ...]]) -> set[int]:
     """Tiles within graph distance 2 of the window boundary (tiles whose
-    infinite-graph neighborhood is clipped by the window)."""
-    boundary = [c for c, nbs in config.adjacency.items() if len(nbs) < 4]
-    layers = bfs_layers(boundary, config.adjacency.__getitem__)
+    infinite-graph neighborhood is clipped by the window), as indices."""
+    boundary = [n for n, nbs in enumerate(neighbors) if len(nbs) < 4]
+    layers = bfs_layers(boundary, neighbors.__getitem__)
     return set().union(*islice(layers, 3))
 
 
@@ -77,30 +78,45 @@ def add_grain_and_topple(
     Raises BoundaryContamination as soon as any toppling tile comes within
     graph distance 2 of the window boundary, because from then on the finite
     window no longer emulates the infinite tiling.
+
+    Runs on tile indices in ``config.grains`` order.  Round 1 scans every
+    tile; after that only the previous round's topplers and their neighbors
+    can have become unstable (every other tile neither gained nor lost
+    grains), so each round scans just those, in window order.
     """
     if at not in config.grains:
         raise ValidationError(f"tile {at.key} is not in the window")
     if config.degree(at) < 4:
         raise ValidationError(f"tile {at.key} is on the window boundary")
-    grains = dict(config.grains)
-    toppled_rounds = dict(config.toppled_rounds)
-    grains[at] = grains.get(at, 0) + 1
-    halo = _boundary_halo(config)
+    tiles = list(config.grains)
+    index = {c: n for n, c in enumerate(tiles)}
+    neighbors = [tuple(index[nb] for nb in config.adjacency[c]) for c in tiles]
+    grains = list(config.grains.values())
+    grains[index[at]] += 1
+    first_rounds: dict[int, int] = {}
+    halo = _boundary_halo(neighbors)
+    candidates: Iterable[int] = range(len(tiles))
     for round_n in range(1, rounds + 1):
         # degree-0 tiles (clipped window corners) are inert, not avalanching
-        topplers = [c for c, g in grains.items()
-                    if len(config.adjacency[c]) > 0 and g >= len(config.adjacency[c])]
+        topplers = [n for n in candidates if 0 < len(neighbors[n]) <= grains[n]]
         if not topplers:
             break
-        contaminated = [c for c in topplers if c in halo]
+        contaminated = halo.intersection(topplers)
         if contaminated:
             raise BoundaryContamination(
                 f"round {round_n}: avalanche reached within distance 2 of the "
-                f"window boundary at {contaminated[0].key}; grow the window")
-        for c in topplers:
-            deg = len(config.adjacency[c])
-            grains[c] -= deg
-            for nb in config.adjacency[c]:
-                grains[nb] += 1
-            toppled_rounds.setdefault(c, round_n)
-    return SandpileConfig(config.window, config.adjacency, grains, toppled_rounds)
+                f"window boundary at {tiles[min(contaminated)].key}; grow the window")
+        active = set(topplers)
+        for n in topplers:
+            nbs = neighbors[n]
+            grains[n] -= len(nbs)
+            for m in nbs:
+                grains[m] += 1
+            active.update(nbs)
+            first_rounds.setdefault(n, round_n)
+        candidates = sorted(active)
+    toppled_rounds = dict(config.toppled_rounds)
+    for n, round_n in first_rounds.items():
+        toppled_rounds.setdefault(tiles[n], round_n)
+    return SandpileConfig(config.window, config.adjacency,
+                          dict(zip(tiles, grains)), toppled_rounds)

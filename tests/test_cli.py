@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -78,8 +79,6 @@ def test_validation_exits_2(tmp_path, capsys):
                  ["endpoints", "--dfold", "5", "--n", "-1"],
                  # the window renders, then the viewport radius is refused
                  ["gen", "--dfold", "5", "--radius", "-3"],
-                 # growth succeeds, then the 196-entry palette is refused
-                 ["corona", "--angles", "0,90", "--n", "195"],
                  ["gen", "--dfold", "5", "--radius", "nan"],
                  ["sandpile", "--dfold", "5", "--radius", "inf"],
                  ["gen", "--config", str(tmp_path / "missing.cfg")],
@@ -89,6 +88,14 @@ def test_validation_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert not out.exists(), argv
+
+
+def test_corona_past_195_layers(tmp_path):
+    """The palette is quantized, not capped: 196 frontiers, 196 greys."""
+    assert run(["corona", "--angles", "0,90", "--n", "195", "--out", str(tmp_path)]) == 0
+    svg = (tmp_path / "corona.svg").read_text()
+    fills = re.findall(r'<path d="[^"]*" fill="(#[0-9a-f]{6})"/>', svg)
+    assert len(set(fills)) == 196
 
 
 def test_bad_subcommand_exits_2():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from random import Random
 
 import pytest
@@ -160,11 +162,34 @@ def test_window_penrose_offsets_valid():
 
 
 def test_window_vertices_deduplicated(pentagrid):
-    window = dual.tiling_window(pentagrid, 5.0)
-    by_key = {}
-    for tile in window.tiles.values():
-        for v in tile.corners:
-            assert by_key.setdefault(v.key, v) is v
+    """One shared TilingVertex object per corner key, at its key's position,
+    and every tile's corners those of tile_of_crossing."""
+    for spec, radius in ((pentagrid, 12.0), (random_multigrid(7, 47), 8.0)):
+        window = dual.tiling_window(spec, radius)
+        by_key = {}
+        for c, tile in window.tiles.items():
+            assert tile.crossing is c
+            assert tile.corners == dual.tile_of_crossing(spec, c).corners
+            for v in tile.corners:
+                assert by_key.setdefault(v.key, v) is v
+        assert all(v.position == dual.vertex_position(spec, key)
+                   for key, v in by_key.items())
+
+
+def test_hot_dataclasses_are_slotted_and_round_trip(pentagrid):
+    """Crossing, Tile and TilingVertex keep no instance __dict__ and survive
+    pickle and deepcopy with equality and hash; a Crossing's equality still
+    ignores its point."""
+    c = mg.nearest_crossing(pentagrid)
+    tile = dual.tile_of_crossing(pentagrid, c)
+    for obj in (c, tile, tile.base):
+        assert not hasattr(obj, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert twin is not obj
+            assert twin == obj and hash(twin) == hash(obj)
+    assert pickle.loads(pickle.dumps(c)).point == c.point
+    moved = mg.Crossing(c.a, c.b, c.point + 1)
+    assert moved == c and hash(moved) == hash(c)
 
 
 def test_window_singular_raises():

@@ -112,8 +112,12 @@ def test_palette_distinct():
     assert len(set(pal)) == 81
     with pytest.raises(ValidationError):
         cio.greyscale_palette(0)
-    with pytest.raises(ValidationError):
-        cio.greyscale_palette(500)
+    # past 196 entries the greys repeat: quantized, not refused
+    levels = [int(c[1:3], 16) for c in cio.greyscale_palette(500)]
+    assert len(levels) == 500 and levels == sorted(levels)
+    assert levels[0] == 0x28 and levels[-1] == 0xeb
+    assert all(c == f"#{v:02x}{v:02x}{v:02x}"
+               for c, v in zip(cio.greyscale_palette(500), levels))
 
 
 # CSV -------------------------------------------------------------------------

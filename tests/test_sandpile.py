@@ -1,8 +1,12 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from coronagrid import graph, multigrid as mg, sandpile
+from coronagrid.certify import random_multigrid
 from coronagrid.dual import tiling_window
-from coronagrid.errors import BoundaryContamination, ValidationError
+from coronagrid.errors import BoundaryContamination, SingularMultigrid, ValidationError
 from coronagrid.multigrid import LineId
 
 
@@ -96,3 +100,81 @@ def test_empty_window():
     empty = tiling_window(offset_square, 0.1)  # nearest crossing at ~0.707
     config = sandpile.max_stable(empty)
     assert config.grains == {} and config.total_grains() == 0
+
+
+# differential check of the toppler -------------------------------------------
+
+def full_scan_topple(config, at, rounds):
+    """Reference synchronous toppling: every round rescans every tile, and the
+    halo comes from a visited-set BFS."""
+    adjacency = config.adjacency
+    halo = {c for c, nbs in adjacency.items() if len(nbs) < 4}
+    frontier = halo
+    for _ in range(2):
+        frontier = {nb for c in frontier for nb in adjacency[c]} - halo
+        halo |= frontier
+    grains = dict(config.grains)
+    toppled_rounds = dict(config.toppled_rounds)
+    grains[at] += 1
+    for round_n in range(1, rounds + 1):
+        topplers = [c for c, g in grains.items() if 0 < len(adjacency[c]) <= g]
+        if not topplers:
+            break
+        contaminated = [c for c in topplers if c in halo]
+        if contaminated:
+            raise BoundaryContamination(
+                f"round {round_n}: avalanche reached within distance 2 of the "
+                f"window boundary at {contaminated[0].key}; grow the window")
+        for c in topplers:
+            grains[c] -= len(adjacency[c])
+            for nb in adjacency[c]:
+                grains[nb] += 1
+            toppled_rounds.setdefault(c, round_n)
+    return sandpile.SandpileConfig(config.window, adjacency, grains, toppled_rounds)
+
+
+@lru_cache(maxsize=None)
+def stable_window(d: int, seed: int, radius: float):
+    spec = mg.MultigridSpec.dfold(5, 0.5) if d == 0 else random_multigrid(d, seed)
+    try:
+        return sandpile.max_stable(tiling_window(spec, radius))
+    except SingularMultigrid:
+        return None
+
+
+def topple_outcome(topple, config, at, rounds):
+    """The grains and toppled rounds in iteration order, or the refusal
+    message; and the resulting configuration, if any."""
+    try:
+        result = topple(config, at, rounds)
+    except BoundaryContamination as exc:
+        return str(exc), None
+    return (list(result.grains.items()), list(result.toppled_rounds.items())), result
+
+
+@given(d=st.sampled_from([0, 3, 4, 5, 6, 7]), seed=st.integers(1, 3),
+       radius=st.sampled_from([5.0, 8.0]), data=st.data())
+def test_active_set_toppler_matches_full_scan(d, seed, radius, data):
+    """add_grain_and_topple equals the full-scan reference on pentagrid
+    (d = 0) and random windows with extra grains on several tiles,
+    then again on its own result (toppled rounds carried over)."""
+    config = stable_window(d, seed, radius)
+    assume(config is not None)
+    # drops in the inner half of the window, so runs end both ways
+    inner = sorted((c for c in config.grains
+                    if config.degree(c) == 4 and abs(c.point) <= radius / 2),
+                   key=lambda c: c.key)
+    assume(inner)
+    extra = data.draw(st.dictionaries(st.sampled_from(inner), st.integers(1, 9),
+                                      max_size=5))
+    grains = {c: g + extra.get(c, 0) for c, g in config.grains.items()}
+    config = sandpile.SandpileConfig(config.window, config.adjacency, grains, {})
+    for _ in range(2):
+        at = data.draw(st.sampled_from(inner))
+        rounds = data.draw(st.integers(1, 12))
+        got, result = topple_outcome(sandpile.add_grain_and_topple, config, at, rounds)
+        want, _ = topple_outcome(full_scan_topple, config, at, rounds)
+        assert got == want
+        if result is None:
+            break
+        config = result
