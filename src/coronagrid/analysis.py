@@ -15,14 +15,14 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Iterable, Literal, Sequence
+from typing import Collection, Iterable, Literal, Sequence
 
 from . import geom
 from .dual import linear_dual, tile_corner_keys, vertex_position
 from .errors import GridNotRepresented, ValidationError
 from .geom import Polygon, from_convex_vertices, hull_chain, perp
 from .graph import CoronaSequence, Patch, bfs_layers, corona_sequence, neighbors
-from .multigrid import Crossing, LineId, MultigridSpec, dominant_lines, endpoints
+from .multigrid import Crossing, Key, LineId, MultigridSpec, crossing_point, dominant_lines, endpoints
 
 Side = Literal["multigrid", "tiling"]
 
@@ -93,13 +93,15 @@ def char_polygon(spec: MultigridSpec, side: Side) -> CharPolygon:
     return grid_char_polygon(spec) if side == "multigrid" else tiling_char_polygon(spec)
 
 
-def shape_points(spec: MultigridSpec, crossings: Iterable[Crossing],
-                 side: Side) -> list[complex]:
-    """The point cloud a corona occupies: crossing points on the multigrid
-    side, the distinct dual-tile corners on the tiling side."""
+def shape_points(spec: MultigridSpec, keys: Collection[Key], side: Side) -> list[complex]:
+    """The point cloud a corona occupies, from its crossing keys: crossing
+    points on the multigrid side, the distinct dual-tile corners on the
+    tiling side."""
+    points = [crossing_point(spec, (i, ki), (j, kj)) for i, ki, j, kj in keys]
     if side == "multigrid":
-        return [c.point for c in crossings]
-    corners = {key for c in crossings for key in tile_corner_keys(spec, c)}
+        return points
+    corners = {corner for key, point in zip(keys, points)
+               for corner in tile_corner_keys(spec, key, point)}
     return [vertex_position(spec, key) for key in corners]
 
 
@@ -108,7 +110,7 @@ def normalized_shape(spec: MultigridSpec, crossings: Iterable[Crossing],
     """Convex hull of the corona's points, shrunk by 1/n about the origin."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    hull = geom.convex_hull(shape_points(spec, crossings, side))
+    hull = geom.convex_hull(shape_points(spec, [c.key for c in crossings], side))
     return geom.scale_polygon(hull, 1.0 / n)
 
 
@@ -142,7 +144,7 @@ def convergence_table(
     A single corona run to max(ns) backs all rows; pass `sequence` to reuse
     an existing run.  The hull is grown frontier by frontier,
     hull(P_n) = hull(hull(P_{n-1}) + F_n), so each crossing's points are
-    taken once.
+    taken once, from its key: no Crossing is built.
     """
     ns = sorted(ns)
     if not ns or ns[0] < 1:
@@ -153,8 +155,8 @@ def convergence_table(
         raise IndexError(f"corona index {ns[-1]} not in [0, {seq.n_max}]")
     rows = []
     chain: list[complex] = []
-    for n, frontier in enumerate(seq.frontiers[:ns[-1] + 1]):
-        chain = hull_chain(chain + shape_points(spec, frontier, side))
+    for n, layer in enumerate(seq.layers[:ns[-1] + 1]):
+        chain = hull_chain(chain + shape_points(spec, layer, side))
         for _ in range(ns.count(n)):
             hull = geom.scale_polygon(geom.convex_hull(chain), 1.0 / n)
             h = geom.hausdorff_distance(hull, target)

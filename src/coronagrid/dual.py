@@ -18,7 +18,7 @@ from operator import mul
 
 from .errors import OnGridLine, SingularMultigrid
 from .geom import EPS_GEOM, scalar_product
-from .multigrid import EPS_SINGULAR, Crossing, MultigridSpec, enumerate_crossings
+from .multigrid import EPS_SINGULAR, Crossing, Key, MultigridSpec, enumerate_crossings
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,31 +89,32 @@ class Tile:
 
 
 def tile_corner_keys(
-    spec: MultigridSpec, crossing: Crossing,
+    spec: MultigridSpec, key: Key, point: complex,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Corner keys of the rhombus dual to a crossing, in boundary order:
-    base, base + e_i, base + e_i + e_j, base + e_j.
+    """Corner keys of the rhombus dual to the crossing with this key and
+    point, in boundary order: base, base + e_i, base + e_i + e_j, base + e_j.
 
     The four cells around the crossing share all grid levels except on the
     crossing's own two lines, where they straddle the integer exactly at the
     line index; the base cell is the one on the negative side of both lines.
-    A third line passing within EPS_SINGULAR of the crossing makes the cell
-    assignment unreliable and raises SingularMultigrid.
+    The other levels are MultigridSpec.level, read from the spec's per-grid
+    level table.  A third line passing within EPS_SINGULAR of the crossing
+    makes the cell assignment unreliable and raises SingularMultigrid.
     """
-    i, ki = crossing.a
-    j, kj = crossing.b
+    i, ki, j, kj = key
+    x, y = point.real, point.imag
+    ceil = math.ceil
     base = []
-    for l in range(spec.d):
+    for l, (re, im, offset) in enumerate(spec._levels):
         if l == i:
             base.append(ki)
         elif l == j:
             base.append(kj)
         else:
-            u = spec.level(l, crossing.point)
+            u = x * re + y * im - offset
             if abs(u - round(u)) <= EPS_SINGULAR:
-                raise SingularMultigrid(
-                    f"a grid-{l} line passes through crossing {crossing.key}")
-            base.append(math.ceil(u))
+                raise SingularMultigrid(f"a grid-{l} line passes through crossing {key}")
+            base.append(ceil(u))
     corners = [tuple(base)]
     base[i] += 1
     corners.append(tuple(base))
@@ -127,7 +128,7 @@ def tile_corner_keys(
 def tile_of_crossing(spec: MultigridSpec, crossing: Crossing) -> Tile:
     """Build the rhombus dual to a crossing (corners as in tile_corner_keys)."""
     corners = tuple(TilingVertex.from_key(spec, key)
-                    for key in tile_corner_keys(spec, crossing))
+                    for key in tile_corner_keys(spec, crossing.key, crossing.point))
     return Tile(crossing, corners)
 
 
@@ -164,7 +165,7 @@ def tiling_window(spec: MultigridSpec, radius: float) -> TilingWindow:
     tiles: dict[Crossing, Tile] = {}
     for c in enumerate_crossings(spec, radius):
         corners = []
-        for key in tile_corner_keys(spec, c):
+        for key in tile_corner_keys(spec, c.key, c.point):
             vertex = vertex_pool.get(key)
             if vertex is None:
                 vertex = vertex_pool[key] = TilingVertex.from_key(spec, key)

@@ -92,25 +92,32 @@ def hull_chain(points: Iterable[complex]) -> list[complex]:
 
     Andrew's monotone chain with an EPS_GEOM collinearity threshold:
     collinear interior points are dropped, so the result is strictly convex.
+    The chain runs on (x, y) pairs; its orientation test is
+    cross(b - a, p - b) written out, with the same float operations.
+    Whether a near-collinear point survives depends on the other points fed
+    in, not only on their convex hull.
     """
     pts = sorted(set((p.real, p.imag) for p in points))
-    pts = [complex(x, y) for x, y in pts]
-    if len(pts) == 1:
-        return pts
-    if len(pts) == 2:
-        return pts
+    if len(pts) <= 2:
+        return [complex(x, y) for x, y in pts]
 
     def chain(seq):
-        out: list[complex] = []
+        out: list[tuple[float, float]] = []
         for p in seq:
-            while len(out) >= 2 and cross(out[-1] - out[-2], p - out[-1]) <= EPS_GEOM:
-                out.pop()
+            px, py = p
+            while len(out) >= 2:
+                ax, ay = out[-2]
+                bx, by = out[-1]
+                if (bx - ax) * (py - by) - (by - ay) * (px - bx) <= EPS_GEOM:
+                    out.pop()
+                else:
+                    break
             out.append(p)
         return out
 
     lower = chain(pts)
     upper = chain(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
+    hull = [complex(x, y) for x, y in lower[:-1] + upper[:-1]]
     if len(hull) == 2 and abs(hull[0] - hull[1]) <= EPS_GEOM:
         return hull[:1]
     return hull

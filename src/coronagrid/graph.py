@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, islice
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .errors import ResourceLimit, Unreachable
+from .errors import ResourceLimit, Unreachable, ValidationError
 from .multigrid import Crossing, Key, LineId, MultigridSpec, crossing_point, make_crossing, neighbor_keys
 
 _CAP_ENV = "CORONAGRID_MAX_CROSSINGS"
@@ -27,7 +27,21 @@ Node = TypeVar("Node", bound=Hashable)
 
 
 def default_crossing_cap() -> int:
-    return int(os.environ.get(_CAP_ENV, 2_000_000))
+    """The crossing cap from $CORONAGRID_MAX_CROSSINGS, 2,000,000 when unset.
+
+    Raises ValidationError unless the value is an integer >= 0.
+    """
+    raw = os.environ.get(_CAP_ENV)
+    if raw is None:
+        return 2_000_000
+    message = f"${_CAP_ENV} must be an integer >= 0, got {raw!r}"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValidationError(message) from None
+    if cap < 0:
+        raise ValidationError(message)
+    return cap
 
 
 def neighbors(spec: MultigridSpec, c: Crossing) -> list[Crossing]:
@@ -86,16 +100,33 @@ def corona_step(spec: MultigridSpec, patch: Patch) -> Patch:
 class CoronaSequence:
     """Frontier-by-frontier BFS record of a corona growth run.
 
-    frontiers[0] is the base patch; frontiers[n] holds the crossings at
-    graph distance exactly n from it.  corona(n) is the cumulative union.
+    layers[0] holds the keys of the base patch's crossings; layers[n] the
+    keys of the crossings at graph distance exactly n from it.  frontiers
+    holds the same layers as Crossings; it is built on first read and
+    cached, so runs read only through sizes() or layers build none.
+    corona(n) is the cumulative union of the frontiers.
     """
 
     base: Patch
-    frontiers: tuple[frozenset[Crossing], ...]
+    spec: MultigridSpec
+    layers: tuple[frozenset[Key], ...]
 
     @property
     def n_max(self) -> int:
-        return len(self.frontiers) - 1
+        return len(self.layers) - 1
+
+    @cached_property
+    def frontiers(self) -> tuple[frozenset[Crossing], ...]:
+        spec = self.spec
+        lines: dict[tuple[int, int], LineId] = {}   # the crossings of a line share its LineId
+
+        def crossing(key: Key) -> Crossing:
+            i, ki, j, kj = key   # canonical: i < j
+            a = lines.get((i, ki)) or lines.setdefault((i, ki), LineId(i, ki))
+            b = lines.get((j, kj)) or lines.setdefault((j, kj), LineId(j, kj))
+            return Crossing(a, b, crossing_point(spec, a, b))
+
+        return tuple(frozenset(map(crossing, layer)) for layer in self.layers)
 
     def corona(self, n: int) -> frozenset[Crossing]:
         if not 0 <= n <= self.n_max:
@@ -107,7 +138,7 @@ class CoronaSequence:
 
     def sizes(self) -> list[int]:
         """Cumulative corona sizes |P_0|, |P_1|, ..."""
-        return list(accumulate(len(f) for f in self.frontiers))
+        return list(accumulate(len(layer) for layer in self.layers))
 
 
 def corona_sequence(
@@ -117,8 +148,7 @@ def corona_sequence(
     max_crossings: int | None = None,
 ) -> CoronaSequence:
     """Grow n_max coronas from the patch: the first n_max + 1 layers of
-    bfs_layers, each kept as a frontier.  The walk runs on crossing keys;
-    each crossing is built once, when its frontier is stored.
+    bfs_layers, walked and kept as crossing keys.
 
     Memory is proportional to the explored region only; exceeding the
     crossing cap (default from $CORONAGRID_MAX_CROSSINGS) raises
@@ -126,15 +156,7 @@ def corona_sequence(
     """
     cap = default_crossing_cap() if max_crossings is None else max_crossings
     layers = bfs_layers((c.key for c in patch.crossings), partial(neighbor_keys, spec))
-    lines: dict[tuple[int, int], LineId] = {}   # the crossings of a line share its LineId
-
-    def crossing(key: Key) -> Crossing:
-        i, ki, j, kj = key   # canonical: i < j
-        a = lines.get((i, ki)) or lines.setdefault((i, ki), LineId(i, ki))
-        b = lines.get((j, kj)) or lines.setdefault((j, kj), LineId(j, kj))
-        return Crossing(a, b, crossing_point(spec, a, b))
-
-    frontiers = []
+    kept = []
     total = 0
     for n in range(n_max + 1):
         layer = next(layers, frozenset())
@@ -142,8 +164,8 @@ def corona_sequence(
         if n and total > cap:   # the base patch itself is never refused
             raise ResourceLimit(
                 f"corona growth exceeded {cap} crossings (set ${_CAP_ENV})")
-        frontiers.append(frozenset(map(crossing, layer)))
-    return CoronaSequence(patch, tuple(frontiers))
+        kept.append(layer)
+    return CoronaSequence(patch, spec, tuple(kept))
 
 
 def graph_distance(

@@ -368,8 +368,8 @@ def write_charpoly_csv(polys: Sequence[CharPolygon], fp: TextIO) -> None:
 
 def write_frontiers_csv(seq: CoronaSequence, fp: TextIO) -> None:
     fp.write("n,frontier_size,cumulative_size\n")
-    for n, (f, total) in enumerate(zip(seq.frontiers, seq.sizes())):
-        fp.write(f"{n},{len(f)},{total}\n")
+    for n, (layer, total) in enumerate(zip(seq.layers, seq.sizes())):
+        fp.write(f"{n},{len(layer)},{total}\n")
 
 
 def write_tiles_csv(window: TilingWindow, fp: TextIO) -> None:

@@ -65,6 +65,9 @@ class MultigridSpec:
     # per grid i: (l, cross(i, l), dot(i, l), offset_l) for every other grid l
     _steps: tuple[tuple[tuple[int, float, float, float], ...], ...] = field(
         init=False, repr=False, compare=False)
+    # per grid i: (normal_i.real, normal_i.imag, offset_i), the terms of level(i, z)
+    _levels: tuple[tuple[float, float, float], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normals = tuple(complex(z) for z in self.normals)
@@ -94,6 +97,8 @@ class MultigridSpec:
         steps = tuple(tuple((l, crosses[i][l], dots[i][l], offsets[l])
                             for l in range(d) if l != i) for i in range(d))
         object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_levels", tuple((z.real, z.imag, g)
+                                                  for z, g in zip(normals, offsets)))
 
     @classmethod
     def dfold(cls, d: int, offsets: float | Sequence[float] = 0.5) -> "MultigridSpec":
@@ -137,7 +142,8 @@ class MultigridSpec:
 
     def level(self, i: int, z: complex) -> float:
         """Grid-i level of z: z.normal_i - offset_i (an integer exactly on i-lines)."""
-        return scalar_product(z, self.normals[i]) - self.offsets[i]
+        re, im, offset = self._levels[i]
+        return z.real * re + z.imag * im - offset
 
     def line_foot(self, line: LineId) -> complex:
         """Parameter-0 point of the line: (offset+k)*normal."""
@@ -172,17 +178,22 @@ class Crossing:
         return (self.a.grid, self.b.grid)
 
 
-def crossing_point(spec: MultigridSpec, a: LineId, b: LineId) -> complex:
-    """The unique point on both lines (2x2 linear solve).
+def crossing_point(
+    spec: MultigridSpec, a: tuple[int, int], b: tuple[int, int],
+) -> complex:
+    """The unique point on both lines (2x2 linear solve).  Each line is a
+    LineId or a plain (grid, k) pair, such as the halves of a crossing key.
 
     Raises ParallelLines when both lines belong to the same grid family.
     """
-    if a.grid == b.grid:
+    i, ki = a
+    j, kj = b
+    if i == j:
         raise ParallelLines(f"lines {a} and {b} are parallel (same grid)")
-    za, zb = spec.normals[a.grid], spec.normals[b.grid]
-    ra = spec.offsets[a.grid] + a.k
-    rb = spec.offsets[b.grid] + b.k
-    det = cross(za, zb)
+    za, zb = spec.normals[i], spec.normals[j]
+    ra = spec.offsets[i] + ki
+    rb = spec.offsets[j] + kj
+    det = spec._crosses[i][j]
     x = (ra * zb.imag - rb * za.imag) / det
     y = (za.real * rb - zb.real * ra) / det
     return complex(x, y)

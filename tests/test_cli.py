@@ -90,6 +90,17 @@ def test_validation_exits_2(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "-5"])
+def test_crossing_cap_must_be_a_nonnegative_integer(tmp_path, capsys, monkeypatch, value):
+    out = tmp_path / "out"
+    monkeypatch.setenv("CORONAGRID_MAX_CROSSINGS", value)
+    assert run(["converge", "--dfold", "5", "--n", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "CORONAGRID_MAX_CROSSINGS" in err and repr(value) in err
+    assert not out.exists()
+
+
 def test_corona_past_195_layers(tmp_path):
     """The palette is quantized, not capped: 196 frontiers, 196 greys."""
     assert run(["corona", "--angles", "0,90", "--n", "195", "--out", str(tmp_path)]) == 0
@@ -154,3 +165,15 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "charpoly.csv" in proc.stdout
+
+
+def test_cli_imports_only_the_standard_library():
+    """Importing the command line loads no module outside the standard
+    library and coronagrid itself."""
+    code = ("import sys; before = set(sys.modules); import coronagrid.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "coronagrid" in loaded
+    assert loaded - {"coronagrid"} <= sys.stdlib_module_names, sorted(loaded)

@@ -3,8 +3,11 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coronagrid import geom
+from coronagrid.certify import random_multigrid
+from coronagrid.dual import tiling_window
 from coronagrid.errors import DegenerateInput, NonPositiveRatio
 
 
@@ -87,6 +90,76 @@ def test_hull_canonical_start_vertex():
     hull = geom.convex_hull([1 + 0.5j, -1 + 0.5j, -1 - 0.5j, 1 - 0.5j])
     # smallest polar angle first, counterclockwise after
     assert hull.vertices[0] == 1 + 0.5j
+
+
+def complex_hull_chain(points):
+    """Reference: the monotone chain on complex numbers, with the orientation
+    test as cross(b - a, p - b)."""
+    pts = sorted(set((p.real, p.imag) for p in points))
+    pts = [complex(x, y) for x, y in pts]
+    if len(pts) <= 2:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and geom.cross(out[-1] - out[-2], p - out[-1]) <= geom.EPS_GEOM:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = chain(pts)[:-1] + chain(list(reversed(pts)))[:-1]
+    if len(hull) == 2 and abs(hull[0] - hull[1]) <= geom.EPS_GEOM:
+        return hull[:1]
+    return hull
+
+
+_coords = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def clouds_with_duplicates(draw):
+    pts = draw(st.lists(st.builds(complex, _coords, _coords), max_size=40))
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=10))
+    return pts
+
+
+@st.composite
+def lattice_runs(draw):
+    """Collinear runs of integer lattice points, with repeats."""
+    pts = []
+    for _ in range(draw(st.integers(1, 4))):
+        ax, ay, dx, dy = draw(st.tuples(*[st.integers(-5, 5)] * 4))
+        pts += [complex(ax + t * dx, ay + t * dy)
+                for t in draw(st.lists(st.integers(-6, 6), min_size=1, max_size=8))]
+    return pts
+
+
+@st.composite
+def eps_runs(draw):
+    """Integer runs along an axis, each point off it by a multiple of
+    EPS_GEOM, so some orientation tests land exactly on the threshold."""
+    cells = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-2, 2)),
+                          min_size=1, max_size=12))
+    pts = [complex(x, s * geom.EPS_GEOM) for x, s in cells]
+    return [complex(p.imag, p.real) for p in pts] if draw(st.booleans()) else pts
+
+
+@st.composite
+def window_vertices(draw):
+    d = draw(st.integers(3, 7))
+    window = tiling_window(random_multigrid(d, draw(st.integers(0, 3))), 3.0)
+    pts = sorted({v.position for tile in window.tiles.values() for v in tile.corners},
+                 key=lambda z: (z.imag, z.real))
+    return pts[:draw(st.integers(1, len(pts)))]
+
+
+@given(points=st.one_of(clouds_with_duplicates(), lattice_runs(), eps_runs(),
+                        window_vertices()))
+def test_hull_chain_matches_complex_reference(points):
+    """Same list, signs of zero included, as the chain on complex numbers."""
+    assert list(map(repr, geom.hull_chain(points))) == list(map(repr, complex_hull_chain(points)))
 
 
 # hausdorff distance --------------------------------------------------------

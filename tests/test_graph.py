@@ -1,10 +1,11 @@
 import math
+from io import StringIO
 from random import Random
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from coronagrid import graph, multigrid as mg
+from coronagrid import analysis, graph, io as cio, multigrid as mg
 from coronagrid.certify import random_multigrid
 from coronagrid.errors import ResourceLimit, Unreachable
 from coronagrid.multigrid import LineId
@@ -203,6 +204,41 @@ def test_frontier_growth_is_linear(pentagrid_run):
     f40 = len(pentagrid_run.frontiers[40])
     f80 = len(pentagrid_run.frontiers[80])
     assert 1.7 <= f80 / f40 <= 2.3
+
+
+@pytest.mark.parametrize("spec", [mg.MultigridSpec.dfold(5, 0.5), random_multigrid(7, 47)])
+def test_frontiers_built_lazily_from_layers(spec):
+    """frontiers equals a crossing-by-crossing build from the layer keys,
+    with the same points, and every crossing of a line shares one LineId."""
+    seed = mg.nearest_crossing(spec)
+    seq = graph.corona_sequence(spec, graph.Patch(frozenset([seed])), 12)
+    assert "frontiers" not in vars(seq)
+    frontiers = seq.frontiers
+    assert seq.frontiers is frontiers
+    assert frontiers[0] == seq.base.crossings
+    assert len(frontiers) == len(seq.layers)
+    shared = {}
+    for layer, frontier in zip(seq.layers, frontiers):
+        eager = {c: c for c in (mg.make_crossing(spec, LineId(i, ki), LineId(j, kj))
+                                for i, ki, j, kj in layer)}
+        assert frontier == eager.keys()
+        for c in frontier:
+            assert c.key in layer
+            assert c.point == mg.crossing_point(spec, c.a, c.b) == eager[c].point
+            for line in (c.a, c.b):
+                assert shared.setdefault(line, line) is line
+
+
+def test_key_consumers_build_no_crossings(pentagrid):
+    """sizes, the frontiers CSV and the convergence rows of both sides read
+    the layer keys; none of them builds the frontiers."""
+    seed = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
+    seq = graph.corona_sequence(pentagrid, seed, 10)
+    for side in ("multigrid", "tiling"):
+        analysis.convergence_table(pentagrid, seed, [5, 10], side, sequence=seq)
+    cio.write_frontiers_csv(seq, StringIO())
+    assert seq.sizes()[-1] == sum(map(len, seq.layers))
+    assert "frontiers" not in vars(seq)
 
 
 def test_corona_sequence_resource_cap(pentagrid):
