@@ -110,6 +110,8 @@ def _spec_from_args(args) -> MultigridSpec:
 
 
 def _seed_patch(spec: MultigridSpec, args) -> graph.Patch:
+    if args.ball < 0:
+        raise ValidationError(f"--ball takes an integer >= 0, got {args.ball}")
     if args.tile:
         tile = _numbers(args.tile, int, "--tile")
         if len(tile) != 4 or not all(0 <= g < spec.d for g in tile[:2]):
@@ -120,7 +122,7 @@ def _seed_patch(spec: MultigridSpec, args) -> graph.Patch:
     else:
         seed = nearest_crossing(spec)
     layers = graph.bfs_layers([seed], partial(graph.neighbors, spec))
-    return graph.Patch(frozenset().union(*islice(layers, max(args.ball, 0) + 1)))
+    return graph.Patch(frozenset().union(*islice(layers, args.ball + 1)))
 
 
 def _ns(args) -> list[int]:
@@ -194,6 +196,8 @@ def _dispatch(args) -> tuple[dict[str, str], int]:
         return {"endpoints.csv": _csv(io.write_endpoints_csv, rows)}, 0
 
     if args.command == "sandpile":
+        if args.rounds < 1:
+            raise ValidationError(f"--rounds takes an integer >= 1, got {args.rounds}")
         window = tiling_window(spec, args.radius)
         at = nearest_crossing(spec)
         final = sandpile.add_grain_and_topple(sandpile.max_stable(window), at,

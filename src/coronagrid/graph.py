@@ -12,36 +12,25 @@ is why coronas computed here are tiling coronas as well.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, islice
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .errors import ResourceLimit, Unreachable, ValidationError
-from .multigrid import Crossing, Key, LineId, MultigridSpec, crossing_point, make_crossing, neighbor_keys
-
-_CAP_ENV = "CORONAGRID_MAX_CROSSINGS"
+from .errors import ResourceLimit, Unreachable
+from .multigrid import (
+    CAP_ENV,
+    Crossing,
+    Key,
+    LineId,
+    MultigridSpec,
+    crossing_point,
+    default_crossing_cap,
+    make_crossing,
+    neighbor_keys,
+)
 
 Node = TypeVar("Node", bound=Hashable)
-
-
-def default_crossing_cap() -> int:
-    """The crossing cap from $CORONAGRID_MAX_CROSSINGS, 2,000,000 when unset.
-
-    Raises ValidationError unless the value is an integer >= 0.
-    """
-    raw = os.environ.get(_CAP_ENV)
-    if raw is None:
-        return 2_000_000
-    message = f"${_CAP_ENV} must be an integer >= 0, got {raw!r}"
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(message) from None
-    if cap < 0:
-        raise ValidationError(message)
-    return cap
 
 
 def neighbors(spec: MultigridSpec, c: Crossing) -> list[Crossing]:
@@ -163,7 +152,7 @@ def corona_sequence(
         total += len(layer)
         if n and total > cap:   # the base patch itself is never refused
             raise ResourceLimit(
-                f"corona growth exceeded {cap} crossings (set ${_CAP_ENV})")
+                f"corona growth exceeded {cap} crossings (set ${CAP_ENV})")
         kept.append(layer)
     return CoronaSequence(patch, spec, tuple(kept))
 

@@ -254,9 +254,19 @@ class SceneSpec:
             raise ValidationError("viewport radius must be > 0")
 
 
-def _path(points: Iterable[complex]) -> str:
-    """Closed SVG path through the points."""
-    return "M" + " L".join(f"{p.real:.6f} {-p.imag:.6f}" for p in points) + " Z"
+def _path(points: Iterable[complex], cells: dict[complex, str]) -> str:
+    """Closed SVG path through the points.  ``cells`` caches the text of
+    each point shared by several paths; a point with a zero coordinate is
+    not cached, because 0.0 and -0.0 compare equal but format apart."""
+    out = []
+    for p in points:
+        cell = cells.get(p)
+        if cell is None:
+            cell = f"{p.real:.6f} {-p.imag:.6f}"
+            if p.real and p.imag:
+                cells[p] = cell
+        out.append(cell)
+    return "M" + " L".join(out) + " Z"
 
 
 def render_svg(scene: SceneSpec) -> str:
@@ -269,6 +279,7 @@ def render_svg(scene: SceneSpec) -> str:
         raise EmptyScene("scene has no content to render")
     r = scene.radius
     cx, cy = scene.center.real, scene.center.imag
+    cells: dict[complex, str] = {}
     tile_w = r / 300.0
     line_w = 2 * tile_w
     out = [
@@ -283,15 +294,18 @@ def render_svg(scene: SceneSpec) -> str:
             out.append(f'<g stroke="{layer.stroke}" stroke-width="{_fmt(tile_w)}" '
                        f'stroke-linejoin="round">')
             for corners, fill in layer.tiles:
-                out.append(f'<path d="{_path(corners)}" fill="{fill}"/>')
+                out.append(f'<path d="{_path(corners, cells)}" fill="{fill}"/>')
             out.append("</g>")
         else:
             dash = (f' stroke-dasharray="{_fmt(4 * line_w)} {_fmt(3 * line_w)}"'
                     if layer.dashed else "")
-            out.append(f'<path d="{_path(layer.vertices)}" fill="none" '
+            out.append(f'<path d="{_path(layer.vertices, cells)}" fill="none" '
                        f'stroke="{layer.color}" stroke-width="{_fmt(line_w)}"{dash}/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    # The joined document is the peak of memory: hold neither the text cache
+    # nor a second copy of the document alongside it.
+    del cells
+    out += ["</svg>", ""]
+    return "\n".join(out)
 
 
 def _layer_empty(layer: Layer) -> bool:

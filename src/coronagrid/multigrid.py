@@ -16,13 +16,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     GridNotRepresented,
     NotACrossing,
     ParallelLines,
+    ResourceLimit,
     SameGrid,
     SingularMultigrid,
     ValidationError,
@@ -38,6 +42,26 @@ EPS_SINGULAR = 1e-7
 # Snap tolerance for "is this level an integer" decisions when counting and
 # walking; keeps the half-open boundary convention stable under float noise.
 _SNAP = EPS_GEOM
+
+CAP_ENV = "CORONAGRID_MAX_CROSSINGS"
+
+
+def default_crossing_cap() -> int:
+    """The crossing cap from $CORONAGRID_MAX_CROSSINGS, 2,000,000 when unset.
+
+    Raises ValidationError unless the value is an integer >= 0.
+    """
+    raw = os.environ.get(CAP_ENV)
+    if raw is None:
+        return 2_000_000
+    message = f"${CAP_ENV} must be an integer >= 0, got {raw!r}"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValidationError(message) from None
+    if cap < 0:
+        raise ValidationError(message)
+    return cap
 
 
 class LineId(NamedTuple):
@@ -206,25 +230,25 @@ def make_crossing(spec: MultigridSpec, a: LineId, b: LineId) -> Crossing:
     return Crossing(a, b, crossing_point(spec, a, b))
 
 
-def _segment_crossings_with_grid(
-    spec: MultigridSpec, line: LineId, j: int, t0: float, t1: float,
-) -> list[tuple[float, Crossing]]:
-    """Crossings of `line` with grid j at parameters in the half-open (t0, t1],
-    in increasing parameter order.
+def _levels_on_segment(
+    spec: MultigridSpec, i: int, k: int, j: int, t0: float, t1: float,
+) -> tuple[range, float, float]:
+    """The levels m of the grid-j lines that cross line (i, k) at parameters
+    in the half-open (t0, t1], in increasing parameter order, with ``base``
+    and ``s``: level m crosses at parameter ``(m - base) / s``.
 
     Closed-form integer-level range; together with the snapped boundary
     convention this makes segment concatenation exactly additive.
     """
-    i, k = line
-    s = spec.cross(i, j)
-    base = (spec.offsets[i] + k) * spec.dot(i, j) - spec.offsets[j]
+    s = spec._crosses[i][j]
+    base = (spec.offsets[i] + k) * spec._dots[i][j] - spec.offsets[j]
     u0 = base + t0 * s
     u1 = base + t1 * s
     if s > 0:
         ms = range(math.floor(u0 + _SNAP) + 1, math.floor(u1 + _SNAP) + 1)
     else:
         ms = range(math.ceil(u0 - _SNAP) - 1, math.ceil(u1 - _SNAP) - 1, -1)
-    return [((m - base) / s, make_crossing(spec, line, LineId(j, m))) for m in ms]
+    return ms, base, s
 
 
 def crossings_on_segment(
@@ -242,7 +266,9 @@ def crossings_on_segment(
     found: list[tuple[float, Crossing]] = []
     for j in range(spec.d):
         if j != line.grid:
-            found.extend(_segment_crossings_with_grid(spec, line, j, t0, t1))
+            ms, base, s = _levels_on_segment(spec, line.grid, line.k, j, t0, t1)
+            found.extend(((m - base) / s, make_crossing(spec, line, LineId(j, m)))
+                         for m in ms)
     found.sort(key=lambda tc: tc[0])
     for (ta, ca), (tb, cb) in zip(found, found[1:]):
         if tb - ta < EPS_SINGULAR:
@@ -395,21 +421,49 @@ def nth_crossing(
     return crossing
 
 
-def enumerate_crossings(spec: MultigridSpec, radius: float) -> list[Crossing]:
-    """All crossings with |point| <= radius, each exactly once."""
+_WindowLine = tuple[LineId, list[tuple[int, range, float, float]]]
+
+
+def _window_lines(spec: MultigridSpec, radius: float) -> list[_WindowLine]:
+    """The window's crossings, line by line, before any is built: per line
+    (i, k) meeting the disk |z| <= radius, ``(j, levels, base, s)`` for each
+    other grid j, as _levels_on_segment gives them for the line's chord.
+
+    Each crossing is listed on both of its lines; the window holds it when
+    the line of its lower grid does.  Raises ValidationError for a
+    non-finite radius, and ResourceLimit when the disk's area times the
+    crossing density, pi r^2 sum_{i<j} |cross(i, j)|, exceeds
+    default_crossing_cap().
+    """
     if not math.isfinite(radius):
         raise ValidationError(f"radius must be finite, got {radius}")
-    out: list[Crossing] = []
-    for i in range(spec.d):
+    cap = default_crossing_cap()
+    d = spec.d
+    density = sum(abs(spec._crosses[i][j]) for i in range(d) for j in range(i + 1, d))
+    if radius > 0 and math.pi * radius * radius * density > cap:
+        raise ResourceLimit(f"a window of radius {radius} would hold more than {cap} "
+                            f"crossings (set ${CAP_ENV})")
+    out: list[_WindowLine] = []
+    for i in range(d):
         g = spec.offsets[i]
         for k in range(math.ceil(-radius - g), math.floor(radius - g) + 1):
-            line = LineId(i, k)
             dist = g + k   # distance of the line from the origin, up to sign
             half = math.sqrt(max(radius * radius - dist * dist, 0.0))
-            for j in range(i + 1, spec.d):
-                out.extend(c for _, c in _segment_crossings_with_grid(
-                    spec, line, j, -half - _SNAP, half))
+            chord = [(j, *_levels_on_segment(spec, i, k, j, -half - _SNAP, half))
+                     for j in range(d) if j != i]
+            out.append((LineId(i, k), chord))
     return out
+
+
+def enumerate_crossings(spec: MultigridSpec, radius: float) -> list[Crossing]:
+    """All crossings with |point| <= radius, each exactly once.
+
+    Raises ResourceLimit, before building any, when the disk would hold
+    more than default_crossing_cap() (see _window_lines).
+    """
+    return [make_crossing(spec, line, LineId(j, m))
+            for line, chord in _window_lines(spec, radius)
+            for j, ms, _, _ in chord if j > line.grid for m in ms]
 
 
 @dataclass(frozen=True)
@@ -434,34 +488,57 @@ class RegularityReport:
 def check_regular(spec: MultigridSpec, window_radius: float) -> RegularityReport:
     """Scan the window for points where 3+ lines of different grids meet.
 
-    Coincident crossings are detected by spatial hashing of crossing points
-    with threshold EPS_SINGULAR; the report lists the lines through each
-    offending point.
+    Per window line, the parameters of its crossings are sorted once, and
+    adjacent ones closer than EPS_SINGULAR, the gap at which line_steps
+    refuses to walk on, form a singular group: the line and the lines
+    crossing it there.  A point is seen from each of its lines, and groups
+    that share two lines are merged.  Only the window's crossings (those of
+    enumerate_crossings) take part.  The report lists the points in the
+    order of their sorted line tuples, each at the first crossing of its
+    first group; crossing_count equals len(enumerate_crossings(spec,
+    window_radius)) by construction.
+
+    Raises ValidationError unless the radius is finite and > 0, and
+    ResourceLimit as enumerate_crossings does.
     """
-    if window_radius <= 0:
-        raise ValueError("window_radius must be > 0")
-    crossings = enumerate_crossings(spec, window_radius)
-    cell = 1e-3
-    buckets: dict[tuple[int, int], list[Crossing]] = {}
+    if not window_radius > 0:
+        raise ValidationError(f"window_radius must be > 0, got {window_radius}")
+    lines = _window_lines(spec, window_radius)
+    window: set[Key] | None = None   # built for the first line with a small gap
+    count = 0
     clusters: list[tuple[complex, set[LineId]]] = []
-    for c in crossings:
-        cx = math.floor(c.point.real / cell)
-        cy = math.floor(c.point.imag / cell)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for other in buckets.get((cx + dx, cy + dy), ()):
-                    if abs(other.point - c.point) < EPS_SINGULAR:
-                        for p, lines in clusters:
-                            if abs(p - c.point) < 2 * EPS_SINGULAR:
-                                lines.update((other.a, other.b, c.a, c.b))
-                                break
-                        else:
-                            clusters.append(
-                                (c.point, {other.a, other.b, c.a, c.b}))
-        buckets.setdefault((cx, cy), []).append(c)
-    singular = tuple(SingularPoint(p, tuple(sorted(lines)))
-                     for p, lines in clusters)
-    return RegularityReport(window_radius, len(crossings), singular)
+    for line, chord in lines:
+        i, k = line
+        count += sum(len(ms) for j, ms, _, _ in chord if j > i)
+        ts = [(m - base) / s for _, ms, base, s in chord for m in ms]
+        ts.sort()
+        if min(map(sub, islice(ts, 1, None), ts), default=math.inf) >= EPS_SINGULAR:
+            continue
+        # near the circle, a line's own chord can hold a crossing with a
+        # lower grid that the window leaves out; the window set drops it
+        if window is None:
+            window = {(l.grid, l.k, j, m) for l, c in lines
+                      for j, ms, _, _ in c if j > l.grid for m in ms}
+        found = sorted(((m - base) / s, j, m) for j, ms, base, s in chord for m in ms
+                       if ((i, k, j, m) if i < j else (j, m, i, k)) in window)
+        run = found[:1]
+        for prev, cur in zip(found, found[1:] + [(math.inf, 0, 0)]):
+            if cur[0] - prev[0] < EPS_SINGULAR:
+                run.append(cur)
+                continue
+            if len(run) > 1:
+                group = {line, *(LineId(j, m) for _, j, m in run)}
+                for _, merged in clusters:
+                    if len(merged & group) >= 2:
+                        merged.update(group)
+                        break
+                else:
+                    _, j, m = run[0]
+                    clusters.append((crossing_point(spec, line, (j, m)), group))
+            run = [cur]
+    singular = sorted((SingularPoint(p, tuple(sorted(group))) for p, group in clusters),
+                      key=lambda sp: sp.lines)
+    return RegularityReport(window_radius, count, tuple(singular))
 
 
 def dominant_lines(spec: MultigridSpec, crossings: Iterable[Crossing]) -> tuple[LineId, ...]:

@@ -81,6 +81,12 @@ def test_validation_exits_2(tmp_path, capsys):
                  ["gen", "--dfold", "5", "--radius", "-3"],
                  ["gen", "--dfold", "5", "--radius", "nan"],
                  ["sandpile", "--dfold", "5", "--radius", "inf"],
+                 # more crossings than the cap, refused before enumerating
+                 ["gen", "--dfold", "5", "--radius", "1e300"],
+                 ["sandpile", "--dfold", "5", "--radius", "1e300"],
+                 ["sandpile", "--dfold", "5", "--rounds", "0"],
+                 ["sandpile", "--dfold", "5", "--rounds", "-2"],
+                 ["corona", "--dfold", "5", "--n", "4", "--ball", "-3"],
                  ["gen", "--config", str(tmp_path / "missing.cfg")],
                  ["gen", "--config", str(tmp_path)],
                  ["gen", "--config", str(run_params)]):
@@ -98,6 +104,18 @@ def test_crossing_cap_must_be_a_nonnegative_integer(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "CORONAGRID_MAX_CROSSINGS" in err and repr(value) in err
+    assert not out.exists()
+
+
+def test_window_over_the_crossing_cap_exits_2(tmp_path, capsys, monkeypatch):
+    """A finite window above the cap (about 1184 crossings at radius 7) is
+    refused with one line and no files."""
+    out = tmp_path / "out"
+    monkeypatch.setenv("CORONAGRID_MAX_CROSSINGS", "1000")
+    assert run(["gen", "--dfold", "5", "--radius", "7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "more than 1000 crossings" in err and "CORONAGRID_MAX_CROSSINGS" in err
     assert not out.exists()
 
 

@@ -100,6 +100,18 @@ def test_single_tile_scene_has_one_closed_path(square):
     assert d.count("L") == 3 and d.rstrip().endswith("Z")
 
 
+def test_shared_corners_keep_their_own_text():
+    """Each corner prints as if formatted alone: equal corners of several
+    tiles print alike, and 0.0 and -0.0 (which compare equal) print apart."""
+    zero, minus_zero = complex(0.0, 0.0), complex(-0.0, -0.0)
+    tiles = (((zero, 1 + 1j, 1 + 0.5j), "#000000"),
+             ((minus_zero, 1 + 1j, complex(0.0, -0.0)), "#111111"))
+    doc = cio.render_svg(cio.SceneSpec(0j, 2.0, (cio.TilesLayer(tiles),)))
+    paths = [el.attrib["d"] for el in ET.fromstring(doc).iter() if el.tag.endswith("path")]
+    assert paths == ["M0.000000 -0.000000 L1.000000 -1.000000 L1.000000 -0.500000 Z",
+                     "M-0.000000 0.000000 L1.000000 -1.000000 L0.000000 0.000000 Z"]
+
+
 def test_empty_scene_raises():
     with pytest.raises(EmptyScene):
         cio.render_svg(cio.SceneSpec(0j, 1.0, ()))

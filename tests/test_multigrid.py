@@ -1,6 +1,8 @@
+import math
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coronagrid import multigrid as mg
 from coronagrid.certify import random_multigrid
@@ -8,6 +10,7 @@ from coronagrid.errors import (
     GridNotRepresented,
     NotACrossing,
     ParallelLines,
+    ResourceLimit,
     SameGrid,
     ValidationError,
 )
@@ -93,6 +96,83 @@ def test_random_offsets_pentagrid_regular_large_window():
     report = mg.check_regular(spec, 50.0)
     # probability-1 regularity; a hit would mean an implementation artifact
     assert report.is_regular, report.singular_points[:3]
+
+
+def test_check_regular_refuses_a_bad_radius(pentagrid):
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            mg.check_regular(pentagrid, radius)
+
+
+def test_windows_over_the_crossing_cap_are_refused(pentagrid, monkeypatch):
+    """Refused from pi r^2 sum |cross(i, j)| (about 870 crossings at radius
+    6 and 1184 at 7 on the pentagrid), before any crossing is built.  The
+    radii stay small, so that without the check the test fails, not the
+    machine's memory."""
+    with pytest.raises(ResourceLimit):
+        mg.enumerate_crossings(pentagrid, 1e300)
+    with pytest.raises(ResourceLimit):
+        mg.check_regular(pentagrid, 1e300)
+    monkeypatch.setenv("CORONAGRID_MAX_CROSSINGS", "1000")
+    assert mg.check_regular(pentagrid, 6.0).crossing_count == len(
+        mg.enumerate_crossings(pentagrid, 6.0))
+    with pytest.raises(ResourceLimit):
+        mg.enumerate_crossings(pentagrid, 7.0)
+    with pytest.raises(ResourceLimit):
+        mg.check_regular(pentagrid, 7.0)
+
+
+def spatial_hash_regularity(spec, radius):
+    """Reference: the former scan.  Crossing points are hashed into 1e-3
+    cells; a crossing closer than EPS_SINGULAR in the plane to an earlier
+    one is singular, and joins the first found point within 2 EPS_SINGULAR
+    of it.  Returns the crossing count and the set of line tuples."""
+    crossings = mg.enumerate_crossings(spec, radius)
+    cell = 1e-3
+    buckets = {}
+    clusters = []
+    for c in crossings:
+        cx = math.floor(c.point.real / cell)
+        cy = math.floor(c.point.imag / cell)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for other in buckets.get((cx + dx, cy + dy), ()):
+                    if abs(other.point - c.point) < mg.EPS_SINGULAR:
+                        for p, lines in clusters:
+                            if abs(p - c.point) < 2 * mg.EPS_SINGULAR:
+                                lines.update((other.a, other.b, c.a, c.b))
+                                break
+                        else:
+                            clusters.append((c.point, {other.a, other.b, c.a, c.b}))
+        buckets.setdefault((cx, cy), []).append(c)
+    return len(crossings), {tuple(sorted(lines)) for _, lines in clusters}
+
+
+SINGULAR_WINDOWS = [(MultigridSpec.dfold(5, 0.0), 1.0), (MultigridSpec.dfold(5, 0.0), 10.0),
+                    (MultigridSpec.dfold(7, 0.0), 6.0),
+                    (MultigridSpec.from_angles([0, 60, 120], 0.0), 8.0),
+                    # a near-triple point whose only side shorter than
+                    # EPS_SINGULAR lies on the grid-1 line
+                    (MultigridSpec.from_angles([0, 90, 10], [0.0, 0.0, 5e-8]), 1.0)]
+
+
+@st.composite
+def random_windows(draw):
+    """random_multigrid(d, seed) for d = 3..7, or the same directions with
+    every offset 0, so that all d lines of level 0 meet at the origin."""
+    spec = random_multigrid(draw(st.integers(3, 7)), draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        spec = MultigridSpec(spec.normals, (0.0,) * spec.d)
+    return spec, draw(st.floats(0.5, 10.0))
+
+
+@given(window=st.sampled_from(SINGULAR_WINDOWS) | random_windows())
+def test_check_regular_matches_spatial_hash(window):
+    spec, radius = window
+    report = mg.check_regular(spec, radius)
+    lines = {point.lines for point in report.singular_points}
+    assert len(lines) == len(report.singular_points)
+    assert (report.crossing_count, lines) == spatial_hash_regularity(spec, radius)
 
 
 # crossings on a segment ----------------------------------------------------

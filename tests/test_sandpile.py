@@ -31,15 +31,40 @@ def test_max_stable_degrees(square, square_window):
     assert all(config.grains[c] == 3 for c in interior)
 
 
-def test_window_adjacency_is_graph_adjacency_on_window_tiles(pentagrid, penta_window):
-    """In-window neighbors in neighbors() order, as the window's own objects."""
+def neighbor_keys_adjacency(window):
+    """Reference: each tile's neighbor_keys that are window tiles, in
+    neighbor_keys order, as the window's own objects."""
+    by_key = {c.key: c for c in window.tiles}
+    return {c: tuple(by_key[k] for k in mg.neighbor_keys(window.spec, c.key) if k in by_key)
+            for c in window.tiles}
+
+
+def same_adjacency(got, want):
+    """Equal tiles in equal order, each mapped to the very same objects."""
+    return (list(got) == list(want)
+            and all(list(map(id, got[c])) == list(map(id, want[c])) for c in want))
+
+
+def test_window_adjacency_is_graph_adjacency_on_window_tiles(penta_window):
+    """In-window neighbors in neighbor_keys order, as the window's own objects."""
     adjacency = sandpile.window_adjacency(penta_window)
-    tiles = {id(c) for c in penta_window.tiles}
     assert list(adjacency) == list(penta_window.tiles)
-    for c, nbs in adjacency.items():
-        assert list(nbs) == [nb for nb in graph.neighbors(pentagrid, c)
-                             if nb in penta_window.tiles]
-        assert all(id(nb) in tiles for nb in nbs)
+    assert same_adjacency(adjacency, neighbor_keys_adjacency(penta_window))
+
+
+@given(d=st.integers(3, 7), seed=st.integers(1, 10_000),
+       radius=st.sampled_from([2.0, 5.0, 9.0]))
+def test_window_adjacency_matches_neighbor_keys(d, seed, radius):
+    """Sorting each line's crossings gives the neighbor_keys adjacency on
+    random windows.  Windows that tiling_window refuses are skipped, and so
+    are those that only neighbor_keys refuses, for a near-coincidence one
+    step outside the window."""
+    try:
+        window = tiling_window(random_multigrid(d, seed), radius)
+        want = neighbor_keys_adjacency(window)
+    except SingularMultigrid:
+        assume(False)
+    assert same_adjacency(sandpile.window_adjacency(window), want)
 
 
 def test_round_one_only_seed_topples(square, square_window):
