@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import analysis, certify, graph, io, sandpile
 from .dual import tiling_window
-from .errors import CoronagridError, ValidationError
+from .errors import CoronagridError, ParseError, ValidationError
 from .multigrid import LineId, MultigridSpec, make_crossing, nearest_crossing
 
 
@@ -84,29 +84,26 @@ def build_parser() -> argparse.ArgumentParser:
 def _numbers(text: str, kind: type, flag: str) -> list:
     """The comma-separated numbers given to one flag."""
     try:
-        values = [kind(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ValidationError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+        values = io.read_numbers(text, kind=kind)
+    except ParseError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
     if not values:
         raise ValidationError(f"{flag} needs at least one number")
     return values
 
 
 def _spec_from_args(args) -> MultigridSpec:
-    chosen = [x for x in (args.config, args.dfold, args.angles) if x is not None]
-    if len(chosen) != 1:
+    if args.config is None:
+        angles = None if args.angles is None else _numbers(args.angles, float, "--angles")
+        offsets = [(g, 1) for g in _numbers(args.offsets, float, "--offsets")]
+        return io.build_spec(args.dfold, angles, offsets=offsets)
+    if args.dfold is not None or args.angles is not None:
         raise ValidationError("give exactly one of --config, --dfold, --angles")
-    if args.config is not None:
-        try:
-            text = args.config.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"--config: {exc}") from None
-        return io.parse_spec(text)
-    offsets = _numbers(args.offsets, float, "--offsets")
-    offsets_arg = offsets[0] if len(offsets) == 1 else io.normalized_offsets(offsets)
-    if args.dfold is not None:
-        return MultigridSpec.dfold(args.dfold, offsets_arg)
-    return MultigridSpec.from_angles(_numbers(args.angles, float, "--angles"), offsets_arg)
+    try:
+        text = args.config.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"--config: {exc}") from None
+    return io.parse_spec(text)
 
 
 def _seed_patch(spec: MultigridSpec, args) -> graph.Patch:

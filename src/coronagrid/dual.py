@@ -75,10 +75,6 @@ class Tile:
     corners: tuple[TilingVertex, TilingVertex, TilingVertex, TilingVertex]
 
     @property
-    def base(self) -> TilingVertex:
-        return self.corners[0]
-
-    @property
     def corner_points(self) -> tuple[complex, complex, complex, complex]:
         return tuple(v.position for v in self.corners)
 

@@ -134,11 +134,11 @@ def convex_hull(points: Iterable[complex]) -> Polygon:
     return Polygon(_canonical_start(hull))
 
 
-def scale_polygon(p: Polygon, ratio: float, center: complex = 0j) -> Polygon:
-    """Homothety of the polygon: v -> center + ratio*(v - center)."""
+def scale_polygon(p: Polygon, ratio: float) -> Polygon:
+    """Homothety of the polygon about the origin: v -> ratio*v."""
     if ratio <= 0.0:
         raise NonPositiveRatio(f"ratio must be > 0, got {ratio}")
-    return Polygon(_canonical_start([center + ratio * (v - center) for v in p.vertices]))
+    return Polygon(_canonical_start([ratio * v for v in p.vertices]))
 
 
 def _dist_point_segment(p: complex, a: complex, b: complex) -> float:

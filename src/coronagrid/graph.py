@@ -52,9 +52,6 @@ class Patch:
     def __iter__(self):
         return iter(self.crossings)
 
-    def points(self) -> list[complex]:
-        return [c.point for c in self.crossings]
-
 
 def bfs_layers(
     sources: Iterable[Node], neighbors_of: Callable[[Node], Iterable[Node]],

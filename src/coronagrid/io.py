@@ -1,17 +1,18 @@
 """Plain-text config parsing, deterministic SVG rendering, CSV emission.
 
-Config grammar (entries separated by newlines or top-level commas, ``#``
-comments to end of line)::
+A config describes one multigrid as ``key: value`` entries, separated by
+newlines or top-level commas, with ``#`` comments to end of line.  Each key
+reads one type::
 
-    dfold: 5                       # normals exp(2*pi*1j*k/5)
-    angles: [0, 45, 90, 135]       # or: explicit normal angles in degrees
-    normals: [(1.0, 0.0), ...]     # or: exact normal components (round-trip form)
-    offsets: [0.5 x 5]             # list; "v x n" repeats v n times; scalar broadcasts
+    dfold: 5                       # an integer: normals exp(2*pi*1j*k/5)
+    angles: [0, 45, 90, 135]       # a list of numbers: normal angles in degrees
+    normals: [(1.0, 0.0), ...]     # a list of (re, im) pairs (round-trip form)
+    offsets: [0.5 x 5]             # a number or a list; only here "v x n" repeats v
 
-Exactly one of dfold / angles / normals selects the directions; any other
-key is a ParseError.  Offsets outside [0, 1) are normalized mod 1 with a
-warning (the line families are unchanged).  SVG output is deterministic:
-rendering the same scene twice yields byte-identical documents.
+Any other key, and a value not of its key's type, is a ParseError with its
+line and column; build_spec then checks that the entries describe one
+multigrid.  SVG output is deterministic: rendering the same scene twice
+yields byte-identical documents.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence, TextIO
 
 from .analysis import CharPolygon, ConvergenceRow, EndpointRow
@@ -31,161 +33,140 @@ from .multigrid import MultigridSpec
 # ---------------------------------------------------------------------------
 # config parsing
 
-_KNOWN_KEYS = {"dfold", "angles", "normals", "offsets"}
 _REPEAT_RE = re.compile(r"^(.*?)\s*[x×]\s*(\d+)$")
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    line = text.count("\n", 0, pos) + 1
-    last_nl = text.rfind("\n", 0, pos)
-    return line, pos - last_nl
+def _error(text: str, pos: int, message: str) -> ParseError:
+    """ParseError at the line and column of offset `pos` in `text`."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _split_entries(text: str) -> list[tuple[int, str]]:
-    """Split on newlines and top-level commas, keeping start offsets."""
-    entries = []
+def _fields(text: str, start: int, end: int) -> list[tuple[int, str]]:
+    """The nonempty fields of text[start:end], stripped, each with its offset
+    in `text`.  A field ends at a newline or at a comma outside brackets."""
+    fields = []
     depth = 0
-    start = 0
-    # blank out comments without moving offsets
-    chars = list(text)
-    in_comment = False
-    for idx, ch in enumerate(chars):
-        if ch == "#":
-            in_comment = True
-        if ch == "\n":
-            in_comment = False
-        elif in_comment:
-            chars[idx] = " "
-    text = "".join(chars)
-    for idx, ch in enumerate(text + "\n"):
+    for idx in range(start, end + 1):
+        ch = text[idx] if idx < end else "\n"
         if ch in "[(":
             depth += 1
         elif ch in "])":
             depth -= 1
-        elif (ch == "\n" or (ch == "," and depth == 0)):
-            chunk = text[start:idx]
-            if chunk.strip():
-                entries.append((start + (len(chunk) - len(chunk.lstrip())), chunk.strip()))
+        elif ch == "\n" or (ch == "," and depth == 0):
+            field = text[start:idx]
+            if field.strip():
+                fields.append((start + len(field) - len(field.lstrip()), field.strip()))
             start = idx + 1
-    return entries
+    return fields
 
 
-def _parse_scalar(token: str, text: str, pos: int) -> float | int | str:
-    token = token.strip()
+def _items(text: str, pos: int, raw: str, brackets: str, expected: str) -> list[tuple[int, str]]:
+    """The fields inside `raw`, found at `pos`, which must open and close
+    with the two `brackets`."""
+    if raw[:1] != brackets[0] or raw[-1:] != brackets[1]:
+        raise _error(text, pos, f"expected {expected}, got {raw!r}")
+    return _fields(text, pos + 1, pos + len(raw) - 1)
+
+
+def read_number(text: str, pos: int, token: str, kind: type = float) -> float:
+    """The `kind` (float or int) that `token`, found at `pos` in `text`, spells."""
     try:
-        return int(token)
+        return kind(token)
     except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", token):
-        return token
-    raise ParseError(f"cannot parse value {token!r}", *_line_col(text, pos))
+        noun = "an integer" if kind is int else "a number"
+        raise _error(text, pos, f"expected {noun}, got {token!r}") from None
 
 
-def _split_list_items(body: str) -> list[str]:
-    items = []
-    depth = 0
-    start = 0
-    for idx, ch in enumerate(body + ","):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            if body[start:idx].strip():
-                items.append(body[start:idx].strip())
-            start = idx + 1
-    return items
+def read_numbers(text: str, kind: type = float) -> list:
+    """The comma-separated numbers in `text`."""
+    return [read_number(text, pos, token, kind) for pos, token in _fields(text, 0, len(text))]
 
 
-def _parse_value(raw: str, text: str, pos: int):
-    raw = raw.strip()
-    if raw.startswith("["):
-        if not raw.endswith("]"):
-            raise ParseError("unterminated list", *_line_col(text, pos))
-        out = []
-        for item in _split_list_items(raw[1:-1]):
-            m = _REPEAT_RE.match(item)
-            if m and not item.startswith("("):
-                value = _parse_scalar(m.group(1), text, pos)
-                if isinstance(value, str):
-                    raise ParseError(f"cannot repeat {value!r}", *_line_col(text, pos))
-                out.extend([value] * int(m.group(2)))
-            elif item.startswith("("):
-                if not item.endswith(")"):
-                    raise ParseError("unterminated pair", *_line_col(text, pos))
-                parts = [p for p in item[1:-1].split(",") if p.strip()]
-                if len(parts) != 2:
-                    raise ParseError("pair needs two components", *_line_col(text, pos))
-                out.append((float(parts[0]), float(parts[1])))
-            else:
-                out.append(_parse_scalar(item, text, pos))
-        return out
-    return _parse_scalar(raw, text, pos)
+def _read_angles(text: str, pos: int, raw: str) -> list[float]:
+    return [read_number(text, at, item)
+            for at, item in _items(text, pos, raw, "[]", "a list of numbers")]
 
 
-def normalized_offsets(offsets: Sequence[float]) -> list[float]:
-    """Fold offsets into [0, 1), warning when anything actually moves.
-    Non-finite values pass through for MultigridSpec to refuse."""
-    out = []
-    for g in offsets:
-        folded = g % 1.0 if math.isfinite(g) else g
-        if folded != g:
-            warnings.warn(f"offset {g} normalized to {folded} (same line family)")
-        out.append(folded)
-    return out
+def _read_normals(text: str, pos: int, raw: str) -> list[complex]:
+    normals = []
+    for at, item in _items(text, pos, raw, "[]", "a list of (re, im) pairs"):
+        parts = _items(text, at, item, "()", "an (re, im) pair")
+        if len(parts) != 2:
+            raise _error(text, at, f"expected an (re, im) pair, got {item!r}")
+        normals.append(complex(*(read_number(text, p, part) for p, part in parts)))
+    return normals
+
+
+def _read_offsets(text: str, pos: int, raw: str) -> list[tuple[float, int]]:
+    """(value, count) runs: one number, or a list whose items may be 'v x n'."""
+    if not raw.startswith("["):
+        return [(read_number(text, pos, raw), 1)]
+    runs = []
+    for at, item in _items(text, pos, raw, "[]", "a list of numbers"):
+        repeat = _REPEAT_RE.match(item)
+        value, count = (repeat[1], repeat[2]) if repeat else (item, "1")
+        runs.append((read_number(text, at, value), read_number(text, at, count, int)))
+    return runs
+
+
+_READERS = {"dfold": partial(read_number, kind=int), "angles": _read_angles,
+            "normals": _read_normals, "offsets": _read_offsets}
+
+
+def build_spec(
+    dfold: int | None = None,
+    angles: Sequence[float] | None = None,
+    normals: Sequence[complex] | None = None,
+    offsets: Sequence[tuple[float, int]] = ((0.5, 1),),
+) -> MultigridSpec:
+    """The multigrid of exactly one direction form and its offsets.
+
+    ``offsets`` holds (value, count) runs.  A single offset broadcasts to
+    every grid; otherwise the counts must add up to d, which is checked
+    before any run is expanded.  Offsets outside [0, 1) are folded mod 1
+    with a warning.  Raises ValidationError.
+    """
+    forms = [form for form in (dfold, angles, normals) if form is not None]
+    if len(forms) != 1:
+        raise ValidationError("give exactly one direction form: dfold, angles or normals")
+    d = dfold if dfold is not None else len(forms[0])
+    if d < 2:
+        raise ValidationError(f"a multigrid needs at least 2 grid families, got {d}")
+    count = sum(n for _, n in offsets)
+    if count not in (1, d):
+        raise ValidationError(f"expected {d} offsets, got {count}")
+    values = []
+    for g, n in offsets:
+        if math.isfinite(g) and g % 1.0 != g:
+            warnings.warn(f"offset {g} normalized to {g % 1.0} (same line family)")
+            g %= 1.0
+        values += [g] * n
+    if count == 1:
+        values *= d
+    if dfold is not None:
+        return MultigridSpec.dfold(dfold, values)
+    if angles is not None:
+        return MultigridSpec.from_angles(angles, values)
+    return MultigridSpec(tuple(normals), tuple(values))
 
 
 def parse_spec(text: str) -> MultigridSpec:
-    """Parse a config document into a MultigridSpec.
-
-    ParseError carries line/column for malformed text; semantically invalid
-    geometry (parallel directions, unit-norm violations) raises
-    ValidationError.
-    """
+    """Parse a config document into a MultigridSpec: ParseError for a
+    malformed entry or value, ValidationError (from build_spec) for a
+    config that describes no multigrid."""
+    text = re.sub(r"#[^\n]*", lambda comment: " " * len(comment[0]), text)
     values: dict = {}
-    for pos, entry in _split_entries(text):
-        if ":" not in entry:
-            raise ParseError(f"expected 'key: value', got {entry!r}",
-                             *_line_col(text, pos))
-        key, raw = entry.split(":", 1)
+    for pos, entry in _fields(text, 0, len(text)):
+        key, colon, raw = entry.partition(":")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
-            raise ParseError(f"unknown key {key!r}", *_line_col(text, pos))
+        if not colon:
+            raise _error(text, pos, f"expected 'key: value', got {entry!r}")
+        if key not in _READERS:
+            raise _error(text, pos, f"unknown key {key!r}")
         if key in values:
-            raise ParseError(f"duplicate key {key!r}", *_line_col(text, pos))
-        values[key] = _parse_value(raw, text, pos)
-
-    direction_keys = [k for k in ("dfold", "angles", "normals") if k in values]
-    if len(direction_keys) != 1:
-        raise ValidationError(
-            "config must set exactly one of dfold / angles / normals")
-    offsets = values.get("offsets", 0.5)
-    if isinstance(offsets, list):
-        if not all(isinstance(v, (int, float)) for v in offsets):
-            raise ValidationError("offsets must be numbers")
-        offsets = normalized_offsets(offsets)
-    elif isinstance(offsets, (int, float)):
-        offsets = normalized_offsets([float(offsets)])[0]
-    else:
-        raise ValidationError(f"offsets must be numbers, got {offsets!r}")
-
-    key = direction_keys[0]
-    if key == "dfold":
-        if not isinstance(values["dfold"], int):
-            raise ValidationError(f"dfold must be an integer, got {values['dfold']}")
-        return MultigridSpec.dfold(values["dfold"], offsets)
-    if key == "angles":
-        return MultigridSpec.from_angles(values["angles"], offsets)
-    normals = values["normals"]
-    if not all(isinstance(v, tuple) for v in normals):
-        raise ValidationError("normals must be (re, im) pairs")
-    if isinstance(offsets, (int, float)):
-        offsets = [float(offsets)] * len(normals)
-    return MultigridSpec(tuple(complex(re_, im_) for re_, im_ in normals), tuple(offsets))
+            raise _error(text, pos, f"duplicate key {key!r}")
+        values[key] = _READERS[key](text, pos + len(entry) - len(raw.lstrip()), raw.strip())
+    return build_spec(**values)
 
 
 def serialize_spec(spec: MultigridSpec) -> str:
@@ -228,7 +209,6 @@ TYPE_FILLS = ["#c6dbef", "#fdd0a2", "#c7e9c0", "#dadaeb", "#f2b8c6",
 @dataclass(frozen=True)
 class TilesLayer:
     tiles: tuple[tuple[tuple[complex, ...], str], ...]  # (corner cycle, fill)
-    stroke: str = "#333333"
 
 
 @dataclass(frozen=True)
@@ -243,9 +223,8 @@ Layer = TilesLayer | PolygonLayer
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Renderable scene: ordered layers over a square viewport."""
+    """Renderable scene: ordered layers over a square viewport about the origin."""
 
-    center: complex
     radius: float
     layers: tuple[Layer, ...]
 
@@ -278,20 +257,19 @@ def render_svg(scene: SceneSpec) -> str:
     if not scene.layers or all(_layer_empty(layer) for layer in scene.layers):
         raise EmptyScene("scene has no content to render")
     r = scene.radius
-    cx, cy = scene.center.real, scene.center.imag
     cells: dict[complex, str] = {}
     tile_w = r / 300.0
     line_w = 2 * tile_w
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(cx - r)} {_fmt(-cy - r)} {_fmt(2 * r)} {_fmt(2 * r)}">',
-        f'<rect x="{_fmt(cx - r)}" y="{_fmt(-cy - r)}" width="{_fmt(2 * r)}" '
+        f'viewBox="{_fmt(-r)} {_fmt(-r)} {_fmt(2 * r)} {_fmt(2 * r)}">',
+        f'<rect x="{_fmt(-r)}" y="{_fmt(-r)}" width="{_fmt(2 * r)}" '
         f'height="{_fmt(2 * r)}" fill="#ffffff"/>',
     ]
     for layer in scene.layers:
         if isinstance(layer, TilesLayer):
-            out.append(f'<g stroke="{layer.stroke}" stroke-width="{_fmt(tile_w)}" '
+            out.append(f'<g stroke="#333333" stroke-width="{_fmt(tile_w)}" '
                        f'stroke-linejoin="round">')
             for corners, fill in layer.tiles:
                 out.append(f'<path d="{_path(corners, cells)}" fill="{fill}"/>')
@@ -326,7 +304,7 @@ def tiling_scene(window: TilingWindow) -> SceneSpec:
         fill = TYPE_FILLS[pair_index[c.grids] % len(TYPE_FILLS)]
         tiles.append((window.tiles[c].corner_points, fill))
     extent = window.radius * spec.d / 2 + 2.0
-    return SceneSpec(0j, extent, (TilesLayer(tuple(tiles)),))
+    return SceneSpec(extent, (TilesLayer(tuple(tiles)),))
 
 
 def corona_scene(
@@ -347,12 +325,12 @@ def corona_scene(
         extent = max(extent, max(abs(p) for p in corners))
     if overlay is not None:
         layers.append(PolygonLayer(tuple(overlay.scaled_vertices(seq.n_max))))
-    return SceneSpec(0j, extent * 1.05, tuple(layers))
+    return SceneSpec(extent * 1.05, tuple(layers))
 
 
 def charpoly_scene(chi: CharPolygon, chi_dual: CharPolygon) -> SceneSpec:
     extent = 1.1 * max(max(chi.radii), max(chi_dual.radii))
-    return SceneSpec(0j, extent, (
+    return SceneSpec(extent, (
         PolygonLayer(chi.vertices, color="#2255cc", dashed=False),
         PolygonLayer(chi_dual.vertices, color="#cc2222", dashed=True),
     ))

@@ -169,12 +169,10 @@ class MultigridSpec:
         re, im, offset = self._levels[i]
         return z.real * re + z.imag * im - offset
 
-    def line_foot(self, line: LineId) -> complex:
-        """Parameter-0 point of the line: (offset+k)*normal."""
-        return (self.offsets[line.grid] + line.k) * self.normals[line.grid]
-
     def line_point(self, line: LineId, t: float) -> complex:
-        return self.line_foot(line) + t * perp(self.normals[line.grid])
+        """Point at parameter t on the line; t = 0 is its foot (offset+k)*normal."""
+        normal = self.normals[line.grid]
+        return (self.offsets[line.grid] + line.k) * normal + t * perp(normal)
 
     def line_parameter(self, line: LineId, z: complex) -> float:
         """Parameter of z along the line's direction (z assumed on the line)."""

@@ -66,6 +66,13 @@ def test_validation_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     run_params = tmp_path / "run.cfg"
     run_params.write_text("dfold: 5\nradius: 3\n")
+    bad_configs = []
+    for k, text in enumerate(["normals: [(a, b), (0, 1)]", "angles: [0, x]",
+                              "angles: [(0, 1)]", "angles: 7", "normals: 0.57",
+                              "dfold: 5\noffsets: [0.5 x 99999999999]",
+                              "dfold: 5\noffsets: nan"]):
+        bad_configs.append(tmp_path / f"bad{k}.cfg")
+        bad_configs[-1].write_text(text + "\n")
     assert run(["gen", "--angles", "0,0", "--out", str(out)]) == 2
     assert "parallel" in capsys.readouterr().err
     for argv in (["gen"],
@@ -89,11 +96,22 @@ def test_validation_exits_2(tmp_path, capsys):
                  ["corona", "--dfold", "5", "--n", "4", "--ball", "-3"],
                  ["gen", "--config", str(tmp_path / "missing.cfg")],
                  ["gen", "--config", str(tmp_path)],
-                 ["gen", "--config", str(run_params)]):
+                 ["gen", "--config", str(run_params)],
+                 *(["gen", "--config", str(path)] for path in bad_configs),
+                 ["gen", "--dfold", "5", "--offsets", "0.5,nan"],
+                 ["gen", "--angles", "0,90", "--offsets", "0.5,nan"]):
         assert run(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert not out.exists(), argv
+
+
+def test_offsets_outside_the_unit_interval_fold_with_a_warning(tmp_path):
+    """A single --offsets value folds mod 1 with a warning, as a list does."""
+    for offsets in ("1.5", "1.5,0.5,0.5,-0.5,0.5"):
+        with pytest.warns(UserWarning, match="normalized to 0.5"):
+            assert run(["charpoly", "--dfold", "5", "--offsets", offsets,
+                        "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", "-5"])

@@ -100,7 +100,7 @@ def test_tile_pentagrid_rhombus_angles(pentagrid, j, angle_deg):
 def test_tile_keys_shift_only_crossing_slots(pentagrid):
     c = mg.make_crossing(pentagrid, LineId(1, 2), LineId(3, -1))
     tile = dual.tile_of_crossing(pentagrid, c)
-    base = tile.base.key
+    base = tile.corners[0].key
     deltas = sorted(tuple(k - b for k, b in zip(corner.key, base))
                     for corner in tile.corners)
     expect_i = tuple(1 if l == 1 else 0 for l in range(5))
@@ -139,7 +139,7 @@ def test_window_square_block(square):
     window = dual.tiling_window(square, 2.9)
     assert len(window) == 25
     for c, tile in window.tiles.items():
-        base = tile.base
+        base = tile.corners[0]
         assert base.key == (c.a.k, c.b.k)
         expected = [base.position, base.position + 1,
                     base.position + 1 + 1j, base.position + 1j]
@@ -182,7 +182,7 @@ def test_hot_dataclasses_are_slotted_and_round_trip(pentagrid):
     ignores its point."""
     c = mg.nearest_crossing(pentagrid)
     tile = dual.tile_of_crossing(pentagrid, c)
-    for obj in (c, tile, tile.base):
+    for obj in (c, tile, tile.corners[0]):
         assert not hasattr(obj, "__dict__")
         for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
             assert twin is not obj

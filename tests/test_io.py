@@ -1,9 +1,11 @@
+import warnings
 import xml.etree.ElementTree as ET
 from io import StringIO
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from coronagrid import analysis, graph, multigrid as mg
+from coronagrid import analysis, certify, graph, multigrid as mg
 from coronagrid import io as cio
 from coronagrid.dual import tiling_window
 from coronagrid.errors import EmptyScene, ParseError, ValidationError
@@ -69,9 +71,89 @@ def test_parse_errors_carry_position():
         cio.parse_spec("dfold: 5\ndfold: 7")
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("dfold: 5.0", 1, 8),                                # dfold is an integer
+    ("angles: [0 x 3]", 1, 10),                          # only offsets repeat
+    ("angles: 7", 1, 9),
+    ("angles: [0, (0, 1)]", 1, 13),
+    ("# d = 2\nnormals: [(1, 0), (0, b)]", 2, 23),
+    ("normals: [(1, 0), (0, 1, 0)]", 1, 19),
+    ("normals: 0.57", 1, 10),
+    ("dfold: 5\noffsets: [0.5, 1e9 x]", 2, 16),
+    ("dfold: 5, offsets: (0.5)", 1, 20),
+    pytest.param("dfold: 5, offsets: [0.5 x " + "9" * 5000 + "]", 1, 21,
+                 id="count-past-the-int-digit-limit"),
+])
+def test_values_not_of_their_key_type_are_parse_errors(text, line, column):
+    with pytest.raises(ParseError) as err:
+        cio.parse_spec(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_offsets_broadcast_and_count_before_expanding():
+    normals = "normals: [(1.0, 0.0), (0.0, 1.0)]\n"
+    assert cio.parse_spec(normals + "offsets: [0.25]").offsets == (0.25, 0.25)
+    assert cio.parse_spec(normals + "offsets: 0.25").offsets == (0.25, 0.25)
+    assert cio.parse_spec("dfold: 5, offsets: [0.1 x 2, 0.2 x 3]").offsets == \
+        (0.1, 0.1, 0.2, 0.2, 0.2)
+    with pytest.raises(ValidationError, match="expected 5 offsets, got 10000000000000000"):
+        cio.parse_spec("dfold: 5, offsets: [0.5 x 10000000000000000]")
+
+
+_NUMBERS = ["0", "1", "2", "3", "5", "7", "-1", "0.5", "1.5", "-0.25", "0.0", "1.0",
+            "1e400", "nan", "inf", "-inf", "x", "a", ""]
+_KEYS = ["dfold", "angles", "normals", "offsets", "radius", ""]
+_number = st.sampled_from(_NUMBERS)
+_item = st.one_of(
+    _number,
+    st.builds("({}, {})".format, _number, _number),
+    # the only huge tokens: spelled as counts, so no dfold reads them
+    st.builds("{} x {}".format, _number,
+              st.sampled_from(_NUMBERS + ["99999999999", "9" * 5000])),
+)
+_value = st.one_of(_number, _item,
+                   st.lists(_item, max_size=8).map(lambda items: f"[{', '.join(items)}]"))
+_entry = st.builds("{}: {}".format, st.sampled_from(_KEYS), _value)
+_entries = st.lists(st.tuples(_entry, st.sampled_from(["\n", ", ", "  # note\n"])),
+                    max_size=4).map(lambda parts: "".join(entry + sep for entry, sep in parts))
+_config = st.one_of(
+    _entries,
+    # one valid direction form first, so that most offsets reach the fold
+    st.builds("{}\n{}".format, st.sampled_from(["dfold: 3", "dfold: 5", "angles: [0, 90]",
+                                                "normals: [(1.0, 0.0), (0.0, 1.0)]"]),
+              _entries),
+    st.lists(st.sampled_from(_KEYS + _NUMBERS + ["0.5 x 99999999999", ":", ",", "\n",
+                                                 "#", "[", "]", "(", ")", "×"]),
+             max_size=16).map(" ".join),
+)
+
+
+@settings(max_examples=300)
+@given(_config)
+@example("dfold: 5\noffsets: nan")
+@example("angles: [0, 90]\noffsets: [nan, 1.5]")
+@example("normals: [(1.0, 0.0), (0.0, 1.0)], offsets: [nan x 2]")
+def test_parse_fails_only_with_its_own_errors(text):
+    """Any text built from the grammar's tokens parses, or fails with a
+    ParseError inside the text or a ValidationError; no NaN is reported as
+    folded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cio.parse_spec(text)
+        except ParseError as err:
+            assert 1 <= err.line <= text.count("\n") + 1 and err.column >= 1
+        except ValidationError:
+            pass
+    assert not [w for w in caught if "nan" in str(w.message)]
+
+
 def test_roundtrip_exact():
-    spec = MultigridSpec.from_angles([0, 36.5, 77.1, 103.4], [0.12, 0.9, 0.3, 0.41])
-    assert cio.parse_spec(cio.serialize_spec(spec)) == spec  # bit-exact floats
+    specs = [MultigridSpec.from_angles([0, 36.5, 77.1, 103.4], [0.12, 0.9, 0.3, 0.41])]
+    specs += [certify.random_multigrid(d, seed) for d in range(2, 10) for seed in range(5)]
+    for spec in specs:
+        back = cio.parse_spec(cio.serialize_spec(spec))
+        assert back == spec and repr(back) == repr(spec)  # bit-exact floats, signed zeros
 
 
 # SVG -------------------------------------------------------------------------
@@ -106,7 +188,7 @@ def test_shared_corners_keep_their_own_text():
     zero, minus_zero = complex(0.0, 0.0), complex(-0.0, -0.0)
     tiles = (((zero, 1 + 1j, 1 + 0.5j), "#000000"),
              ((minus_zero, 1 + 1j, complex(0.0, -0.0)), "#111111"))
-    doc = cio.render_svg(cio.SceneSpec(0j, 2.0, (cio.TilesLayer(tiles),)))
+    doc = cio.render_svg(cio.SceneSpec(2.0, (cio.TilesLayer(tiles),)))
     paths = [el.attrib["d"] for el in ET.fromstring(doc).iter() if el.tag.endswith("path")]
     assert paths == ["M0.000000 -0.000000 L1.000000 -1.000000 L1.000000 -0.500000 Z",
                      "M-0.000000 0.000000 L1.000000 -1.000000 L0.000000 0.000000 Z"]
@@ -114,9 +196,9 @@ def test_shared_corners_keep_their_own_text():
 
 def test_empty_scene_raises():
     with pytest.raises(EmptyScene):
-        cio.render_svg(cio.SceneSpec(0j, 1.0, ()))
+        cio.render_svg(cio.SceneSpec(1.0, ()))
     with pytest.raises(EmptyScene):
-        cio.render_svg(cio.SceneSpec(0j, 1.0, (cio.TilesLayer(()),)))
+        cio.render_svg(cio.SceneSpec(1.0, (cio.TilesLayer(()),)))
 
 
 def test_palette_distinct():
