@@ -20,7 +20,6 @@ from .geom import Polygon, convex_hull, hausdorff_distance, perp, scalar_product
 from .graph import CoronaSequence, Patch, corona_sequence, corona_step, graph_distance, neighbors
 from .multigrid import (
     Crossing,
-    Endpoints,
     LineId,
     MultigridSpec,
     check_regular,
@@ -28,7 +27,6 @@ from .multigrid import (
     crossing_point,
     crossings_on_segment,
     dominant_lines,
-    endpoints,
     make_crossing,
     nearest_crossing,
     nth_crossing,
@@ -39,12 +37,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharPolygon", "ConvergenceRow", "CoronaSequence", "Crossing",
-    "Endpoints", "LineId", "MultigridSpec", "Patch",
+    "LineId", "MultigridSpec", "Patch",
     "Polygon", "SandpileConfig", "Tile", "TilingVertex", "TilingWindow",
     "add_grain_and_topple", "check_regular", "convergence_table",
     "convex_hull", "corona_sequence", "corona_step",
     "count_crossings_with_grid", "crossing_point", "crossings_on_segment",
-    "dominant_lines", "dual_vertex", "endpoints", "endpoints_diagnostic",
+    "dominant_lines", "dual_vertex", "endpoints_diagnostic",
     "graph_distance", "grid_char_polygon", "hausdorff_distance",
     "linear_dual", "make_crossing", "max_stable",
     "nearest_crossing", "neighbors", "normalized_shape", "nth_crossing",

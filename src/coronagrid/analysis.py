@@ -21,8 +21,9 @@ from . import geom
 from .dual import linear_dual, tile_corner_keys, vertex_position
 from .errors import GridNotRepresented, ValidationError
 from .geom import Polygon, from_convex_vertices, hull_chain, perp
-from .graph import CoronaSequence, Patch, bfs_layers, corona_sequence, neighbors
-from .multigrid import Crossing, Key, LineId, MultigridSpec, crossing_point, dominant_lines, endpoints
+from .graph import CoronaSequence, Patch, bfs_layers, corona_sequence
+from .multigrid import (Crossing, Key, LineId, MultigridSpec, crossing_point, dominant_lines,
+                        neighbor_keys, walk_line)
 
 Side = Literal["multigrid", "tiling"]
 
@@ -166,15 +167,15 @@ def convergence_table(
 
 def grow_until_dominant(
     spec: MultigridSpec, patch: Patch,
-) -> tuple[Patch, tuple[LineId, ...], int]:
-    """Grow the patch by corona steps until every grid direction has a line
-    through it, then choose dominant lines.  Returns (patch, lines, steps)."""
-    layers = bfs_layers(patch.crossings, partial(neighbors, spec))
-    ball: frozenset[Crossing] = frozenset()
+) -> tuple[frozenset[Key], tuple[LineId, ...], int]:
+    """Grow the patch's keys by corona steps until every grid direction has a
+    line through them, then choose dominant lines.  Returns (keys, lines, steps)."""
+    layers = bfs_layers((c.key for c in patch.crossings), partial(neighbor_keys, spec))
+    ball: frozenset[Key] = frozenset()
     for steps, layer in enumerate(islice(layers, _MAX_DOMINANT_STEPS + 1)):
         ball |= layer
         try:
-            return Patch(ball), dominant_lines(spec, ball), steps
+            return ball, dominant_lines(spec, ball), steps
         except GridNotRepresented:
             continue
     raise GridNotRepresented(tuple(range(spec.d)))
@@ -196,18 +197,24 @@ def endpoints_diagnostic(
     """Hausdorff distance of the normalized endpoint hull to the
     multigrid-side characteristic polygon, per n.
 
-    The patch is auto-grown until it meets a line of every direction.  The
-    2d endpoints may be degenerate (n = 0 on a tiny patch gives a single
-    point); the hull and the distance still make sense, so rows never fail.
-    Normalization divides by max(n, 1) so the n = 0 row is the raw hull.
+    The patch is grown until it meets a line of every direction.  Each
+    dominant line is walked once per direction, to max(ns), from the grown
+    patch's crossing of largest (+1) and smallest (-1) parameter; step n
+    gives the 2d endpoints of row n.  Rows divide by max(n, 1), so the n = 0
+    row is the raw hull, which may be a single point.
     """
-    patch, lines, _ = grow_until_dominant(spec, patch)
-    target = grid_char_polygon(spec).polygon
-    rows = []
-    for n in sorted(ns):
-        pts = endpoints(spec, lines, patch.crossings, n).points()
-        scale = max(n, 1)
-        chain = hull_chain([p / scale for p in pts])
-        h = geom.hausdorff_between(chain, target.vertices)
-        rows.append(EndpointRow(n, h))
-    return rows
+    ns = sorted(ns)
+    if not ns or ns[0] < 0:
+        raise ValidationError("ns must be nonempty with n >= 0")
+    ball, lines, _ = grow_until_dominant(spec, patch)
+    walks = []   # per dominant line and direction, the points at steps 0..max(ns)
+    for line in lines:
+        by_t = sorted((crossing_point(spec, (i, ki), (j, kj))
+                       for i, ki, j, kj in ball if line in ((i, ki), (j, kj))),
+                      key=partial(spec.line_parameter, line))
+        for start, direction in ((by_t[-1], +1), (by_t[0], -1)):
+            steps = islice(walk_line(spec, line, start, direction), ns[-1])
+            walks.append([start, *(c.point for c in steps)])
+    target = grid_char_polygon(spec).polygon.vertices
+    chains = ((n, hull_chain([walk[n] / max(n, 1) for walk in walks])) for n in ns)
+    return [EndpointRow(n, geom.hausdorff_between(chain, target)) for n, chain in chains]

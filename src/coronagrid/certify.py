@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
 from typing import Callable
 
@@ -28,7 +29,7 @@ from .multigrid import (
     crossings_on_segment,
     make_crossing,
     nearest_crossing,
-    nth_crossing,
+    walk_line,
 )
 
 PENTAGRID = MultigridSpec.dfold(5, 0.5)
@@ -148,6 +149,11 @@ def crit_shortest_path_oracle() -> str:
         assert dist == between + 1, \
             f"straight-line distance {dist} != {between}+1 for {cs[p].key}->{cs[q].key}"
     adj = adjacent_direction_pairs(spec)
+
+    def beyond(c: Crossing, line: LineId, direction: int) -> Crossing:
+        """The crossing 1 to 6 steps (drawn from rng) beyond c on the line."""
+        return next(islice(walk_line(spec, line, c.point, direction), rng.randint(1, 6) - 1, None))
+
     done = 0
     while done < 100:
         i, j = adj[rng.randrange(len(adj))]
@@ -157,11 +163,10 @@ def crit_shortest_path_oracle() -> str:
         if abs(c.point) > radius * 0.8:
             continue
         sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
-        a = nth_crossing(spec, LineId(i, k_i), c.point, sa, rng.randint(1, 6))
-        b = nth_crossing(spec, LineId(j, k_j), c.point, sb, rng.randint(1, 6))
+        a = beyond(c, LineId(i, k_i), sa)
+        b = beyond(c, LineId(j, k_j), sb)
         if scalar_product(c.point - a.point, b.point - c.point) < 0.0:
-            b = nth_crossing(spec, LineId(j, k_j), c.point, -sb,
-                             rng.randint(1, 6))
+            b = beyond(c, LineId(j, k_j), -sb)
         if scalar_product(c.point - a.point, b.point - c.point) < 0.0:
             continue
         d_ab = graph.graph_distance(spec, a, b, cap)

@@ -21,15 +21,16 @@ from pathlib import Path
 from . import analysis, certify, graph, io, sandpile
 from .dual import tiling_window
 from .errors import CoronagridError, ParseError, ValidationError
-from .multigrid import LineId, MultigridSpec, make_crossing, nearest_crossing
+from .multigrid import (LineId, MultigridSpec, crossings_from_keys, make_crossing,
+                        nearest_crossing, neighbor_keys)
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="config file (see README grammar)")
     p.add_argument("--dfold", type=int, help="d-fold multigrid (odd d)")
     p.add_argument("--angles", type=str, help="normal angles in degrees, comma separated")
-    p.add_argument("--offsets", type=str, default="0.5",
-                   help="offsets, comma separated; a single value broadcasts")
+    p.add_argument("--offsets", type=str,
+                   help="offsets, comma separated; a single value broadcasts (default 0.5)")
 
 
 def _add_seed_args(p: argparse.ArgumentParser) -> None:
@@ -95,10 +96,12 @@ def _numbers(text: str, kind: type, flag: str) -> list:
 def _spec_from_args(args) -> MultigridSpec:
     if args.config is None:
         angles = None if args.angles is None else _numbers(args.angles, float, "--angles")
+        if args.offsets is None:
+            return io.build_spec(args.dfold, angles)
         offsets = [(g, 1) for g in _numbers(args.offsets, float, "--offsets")]
         return io.build_spec(args.dfold, angles, offsets=offsets)
-    if args.dfold is not None or args.angles is not None:
-        raise ValidationError("give exactly one of --config, --dfold, --angles")
+    if (args.dfold, args.angles, args.offsets) != (None, None, None):
+        raise ValidationError("give --config alone, without --dfold, --angles or --offsets")
     try:
         text = args.config.read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -118,8 +121,9 @@ def _seed_patch(spec: MultigridSpec, args) -> graph.Patch:
         seed = make_crossing(spec, LineId(i, ki), LineId(j, kj))
     else:
         seed = nearest_crossing(spec)
-    layers = graph.bfs_layers([seed], partial(graph.neighbors, spec))
-    return graph.Patch(frozenset().union(*islice(layers, args.ball + 1)))
+    layers = graph.bfs_layers([seed.key], partial(neighbor_keys, spec))
+    ball = crossings_from_keys(spec, islice(layers, args.ball + 1))
+    return graph.Patch(frozenset().union(*ball))
 
 
 def _ns(args) -> list[int]:

@@ -24,7 +24,7 @@ from .multigrid import (
     Key,
     LineId,
     MultigridSpec,
-    crossing_point,
+    crossings_from_keys,
     default_crossing_cap,
     make_crossing,
     neighbor_keys,
@@ -45,12 +45,6 @@ class Patch:
     from one by adjacency."""
 
     crossings: frozenset[Crossing]
-
-    def __len__(self) -> int:
-        return len(self.crossings)
-
-    def __iter__(self):
-        return iter(self.crossings)
 
 
 def bfs_layers(
@@ -103,16 +97,7 @@ class CoronaSequence:
 
     @cached_property
     def frontiers(self) -> tuple[frozenset[Crossing], ...]:
-        spec = self.spec
-        lines: dict[tuple[int, int], LineId] = {}   # the crossings of a line share its LineId
-
-        def crossing(key: Key) -> Crossing:
-            i, ki, j, kj = key   # canonical: i < j
-            a = lines.get((i, ki)) or lines.setdefault((i, ki), LineId(i, ki))
-            b = lines.get((j, kj)) or lines.setdefault((j, kj), LineId(j, kj))
-            return Crossing(a, b, crossing_point(spec, a, b))
-
-        return tuple(frozenset(map(crossing, layer)) for layer in self.layers)
+        return tuple(crossings_from_keys(self.spec, self.layers))
 
     def corona(self, n: int) -> frozenset[Crossing]:
         if not 0 <= n <= self.n_max:

@@ -28,7 +28,7 @@ from .analysis import CharPolygon, ConvergenceRow, EndpointRow
 from .dual import TilingWindow, tile_of_crossing
 from .errors import EmptyScene, ParseError, ValidationError
 from .graph import CoronaSequence
-from .multigrid import MultigridSpec
+from .multigrid import MultigridSpec, check_grid_count, fold_offset
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -130,16 +130,15 @@ def build_spec(
     if len(forms) != 1:
         raise ValidationError("give exactly one direction form: dfold, angles or normals")
     d = dfold if dfold is not None else len(forms[0])
-    if d < 2:
-        raise ValidationError(f"a multigrid needs at least 2 grid families, got {d}")
+    check_grid_count(d)
     count = sum(n for _, n in offsets)
     if count not in (1, d):
         raise ValidationError(f"expected {d} offsets, got {count}")
     values = []
     for g, n in offsets:
-        if math.isfinite(g) and g % 1.0 != g:
-            warnings.warn(f"offset {g} normalized to {g % 1.0} (same line family)")
-            g %= 1.0
+        if math.isfinite(g) and fold_offset(g) != g:
+            warnings.warn(f"offset {g} normalized to {fold_offset(g)} (same line family)")
+            g = fold_offset(g)
         values += [g] * n
     if count == 1:
         values *= d

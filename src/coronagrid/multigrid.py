@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     GridNotRepresented,
@@ -44,6 +44,20 @@ EPS_SINGULAR = 1e-7
 _SNAP = EPS_GEOM
 
 CAP_ENV = "CORONAGRID_MAX_CROSSINGS"
+
+# The most grid families a spec may have: construction builds d x d tables.
+MAX_GRIDS = 256
+
+
+def check_grid_count(d: int) -> None:
+    """Raise ValidationError unless 2 <= d <= MAX_GRIDS."""
+    if not 2 <= d <= MAX_GRIDS:
+        raise ValidationError(f"a multigrid needs 2 to {MAX_GRIDS} grid families, got {d}")
+
+
+def fold_offset(g: float) -> float:
+    """g mod 1 in [0, 1): the second mod folds the 1.0 a tiny negative g rounds to."""
+    return float(g) % 1.0 % 1.0
 
 
 def default_crossing_cap() -> int:
@@ -95,11 +109,10 @@ class MultigridSpec:
 
     def __post_init__(self):
         normals = tuple(complex(z) for z in self.normals)
-        offsets = tuple(float(g) % 1.0 for g in self.offsets)
+        offsets = tuple(map(fold_offset, self.offsets))
         if len(normals) != len(offsets):
             raise ValidationError("need exactly one offset per normal")
-        if len(normals) < 2:
-            raise ValidationError("a multigrid needs at least 2 grid families")
+        check_grid_count(len(normals))
         for i, (z, g) in enumerate(zip(normals, self.offsets)):
             if not (cmath.isfinite(z) and math.isfinite(g)):
                 raise ValidationError(f"grid {i}: normal {z} and offset {g} must be finite")
@@ -131,6 +144,7 @@ class MultigridSpec:
         Only odd d gives pairwise non-parallel normals; even d raises
         ValidationError (use from_angles for e.g. a 0/45/90/135 grid).
         """
+        check_grid_count(d)
         normals = tuple(cmath.exp(2j * math.pi * k / d) for k in range(d))
         return cls(normals, cls._broadcast(offsets, d))
 
@@ -155,10 +169,6 @@ class MultigridSpec:
     @property
     def d(self) -> int:
         return len(self.normals)
-
-    def dot(self, i: int, j: int) -> float:
-        """normal_i . normal_j"""
-        return self._dots[i][j]
 
     def cross(self, i: int, j: int) -> float:
         """perp(normal_i) . normal_j; nonzero for i != j by construction."""
@@ -226,6 +236,21 @@ def make_crossing(spec: MultigridSpec, a: LineId, b: LineId) -> Crossing:
     if a.grid > b.grid:
         a, b = b, a
     return Crossing(a, b, crossing_point(spec, a, b))
+
+
+def crossings_from_keys(
+    spec: MultigridSpec, groups: Iterable[Iterable[Key]],
+) -> Iterator[frozenset[Crossing]]:
+    """Per group of keys, its Crossings as make_crossing builds them; all
+    crossings of a line, in any group, share one LineId."""
+    lines: dict[tuple[int, int], LineId] = {}
+    for keys in groups:
+        group = []
+        for i, ki, j, kj in keys:   # canonical: i < j
+            a = lines.get((i, ki)) or lines.setdefault((i, ki), LineId(i, ki))
+            b = lines.get((j, kj)) or lines.setdefault((j, kj), LineId(j, kj))
+            group.append(Crossing(a, b, crossing_point(spec, a, b)))
+        yield frozenset(group)
 
 
 def _levels_on_segment(
@@ -296,22 +321,6 @@ def count_crossings_with_grid(
     if s > 0:
         return math.floor(u1 + _SNAP) - math.floor(u0 + _SNAP)
     return math.ceil(u0 - _SNAP) - math.ceil(u1 - _SNAP)
-
-
-def crossing_at(spec: MultigridSpec, z: complex) -> Crossing:
-    """The crossing sitting at point z, if there is one.
-
-    Raises NotACrossing unless exactly two grid levels of z are integral.
-    """
-    on = []
-    for i in range(spec.d):
-        u = spec.level(i, z)
-        k = round(u)
-        if abs(u - k) <= 1e-6:
-            on.append(LineId(i, k))
-    if len(on) != 2:
-        raise NotACrossing(f"{z} lies on {len(on)} grid lines, need exactly 2")
-    return make_crossing(spec, on[0], on[1])
 
 
 def line_steps(
@@ -396,27 +405,26 @@ def neighbor_keys(spec: MultigridSpec, key: Key) -> tuple[Key, Key, Key, Key]:
     return tuple(out)
 
 
+def walk_line(
+    spec: MultigridSpec, line: LineId, start: complex, direction: int,
+) -> Iterator[Crossing]:
+    """The crossings of `line` beyond the point `start` on it, nearest first,
+    in direction +-1: a lazy, endless walk of next_crossing_on_line steps."""
+    if direction not in (1, -1):
+        raise ValueError("direction must be +1 or -1")
+    t = spec.line_parameter(line, start)
+    while True:
+        t, crossing = next_crossing_on_line(spec, line, t, direction)
+        yield crossing
+
+
 def nth_crossing(
     spec: MultigridSpec, line: LineId, start: complex, direction: int, n: int,
 ) -> Crossing:
-    """The n-th crossing of `line` from `start`, walking in direction +-1.
-
-    n = 0 returns the crossing at `start` itself (NotACrossing if `start` is
-    not a crossing).  The walk is lazy: each step is a closed-form "next
-    integer level" query per other grid, no scanning.
-    """
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return crossing_at(spec, start)
-    t = spec.line_parameter(line, start)
-    crossing = None
-    for _ in range(n):
-        t, crossing = next_crossing_on_line(spec, line, t, direction)
-    assert crossing is not None
-    return crossing
+    """The n-th crossing (n >= 1) of `line` beyond `start` (see walk_line)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return next(islice(walk_line(spec, line, start, direction), n - 1, None))
 
 
 _WindowLine = tuple[LineId, list[tuple[int, range, float, float]]]
@@ -539,17 +547,17 @@ def check_regular(spec: MultigridSpec, window_radius: float) -> RegularityReport
     return RegularityReport(window_radius, count, tuple(singular))
 
 
-def dominant_lines(spec: MultigridSpec, crossings: Iterable[Crossing]) -> tuple[LineId, ...]:
-    """Per grid direction, indexed by grid, the line through the given
-    crossings closest to the origin (tie-break: smaller k).
+def dominant_lines(spec: MultigridSpec, keys: Iterable[Key]) -> tuple[LineId, ...]:
+    """Per grid direction, indexed by grid, the line through the crossings
+    with these keys that lies closest to the origin (tie-break: smaller k).
 
     Raises GridNotRepresented if some grid has no line through the set; the
     caller should grow the patch first.
     """
     candidates: dict[int, set[int]] = {}
-    for c in crossings:
-        candidates.setdefault(c.a.grid, set()).add(c.a.k)
-        candidates.setdefault(c.b.grid, set()).add(c.b.k)
+    for i, ki, j, kj in keys:
+        candidates.setdefault(i, set()).add(ki)
+        candidates.setdefault(j, set()).add(kj)
     missing = tuple(i for i in range(spec.d) if i not in candidates)
     if missing:
         raise GridNotRepresented(missing)
@@ -558,44 +566,6 @@ def dominant_lines(spec: MultigridSpec, crossings: Iterable[Crossing]) -> tuple[
         k = min(candidates[i], key=lambda k: (abs(spec.offsets[i] + k), k))
         chosen.append(LineId(i, k))
     return tuple(chosen)
-
-
-@dataclass(frozen=True)
-class Endpoints:
-    """Per direction, the pair of crossings n line-steps beyond the patch."""
-
-    n: int
-    pairs: tuple[tuple[Crossing, Crossing], ...]
-
-    def points(self) -> list[complex]:
-        return [c.point for pair in self.pairs for c in pair]
-
-
-def endpoints(
-    spec: MultigridSpec,
-    lines: Sequence[LineId],
-    crossings: Iterable[Crossing],
-    n: int,
-) -> Endpoints:
-    """Walk n crossings outward from the patch's extremes on each dominant line.
-
-    For each grid i, the patch crossings on line i are located; the walk
-    starts from the crossing of largest parameter (positive direction) and
-    of smallest parameter (negative direction).  n = 0 returns the extremes.
-    """
-    crossings = list(crossings)
-    pairs = []
-    for i in range(spec.d):
-        line = lines[i]
-        on_line = [c for c in crossings if line in (c.a, c.b)]
-        if not on_line:
-            raise GridNotRepresented((i,))
-        by_t = sorted(on_line, key=lambda c: spec.line_parameter(line, c.point))
-        z_minus, z_plus = by_t[0], by_t[-1]
-        e_plus = nth_crossing(spec, line, z_plus.point, +1, n)
-        e_minus = nth_crossing(spec, line, z_minus.point, -1, n)
-        pairs.append((e_plus, e_minus))
-    return Endpoints(n, tuple(pairs))
 
 
 def nearest_crossing(spec: MultigridSpec) -> Crossing:

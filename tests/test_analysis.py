@@ -1,10 +1,16 @@
 import math
+import sys
+from functools import partial
+from itertools import islice
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coronagrid import analysis, certify, geom, graph, multigrid as mg
+from coronagrid.cli import run
 from coronagrid.dual import linear_dual
-from coronagrid.errors import DegenerateInput
+from coronagrid.errors import (CoronagridError, DegenerateInput, GridNotRepresented, NotACrossing,
+                               SingularMultigrid)
 from coronagrid.geom import cross, perp
 from coronagrid.multigrid import MultigridSpec
 
@@ -185,11 +191,103 @@ def test_endpoints_diagnostic_pentagrid_decreasing(pentagrid):
 
 def test_grow_until_dominant(pentagrid):
     seed = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
-    patch, lines, steps = analysis.grow_until_dominant(pentagrid, seed)
+    ball, lines, steps = analysis.grow_until_dominant(pentagrid, seed)
     assert steps >= 1
-    represented = set()
-    for c in patch.crossings:
-        represented.update(c.grids)
-    assert represented == set(range(5))
+    assert {g for i, _, j, _ in ball for g in (i, j)} == set(range(5))
     for i in range(5):
-        assert any(lines[i] in (c.a, c.b) for c in patch.crossings)
+        assert any(lines[i] in ((a, ka), (b, kb)) for a, ka, b, kb in ball)
+
+
+def _crossing_at(spec, z):
+    """The crossing at point z: exactly two grid levels within 1e-6 of an
+    integer, else NotACrossing."""
+    on = []
+    for i in range(spec.d):
+        u = spec.level(i, z)
+        if abs(u - round(u)) <= 1e-6:
+            on.append(mg.LineId(i, round(u)))
+    if len(on) != 2:
+        raise NotACrossing(f"{z} lies on {len(on)} grid lines, need exactly 2")
+    return mg.make_crossing(spec, *on)
+
+
+def per_n_endpoint_rows(spec, patch, ns):
+    """Reference for endpoints_diagnostic: grow with graph.neighbors until
+    dominant_lines succeeds, then, for every n on its own, walk n crossings
+    out from the ball's extremes with nth_crossing (_crossing_at at n = 0)."""
+    layers = graph.bfs_layers(patch.crossings, partial(graph.neighbors, spec))
+    ball = frozenset()
+    for layer in islice(layers, 65):
+        ball |= layer
+        try:
+            lines = mg.dominant_lines(spec, [c.key for c in ball])
+            break
+        except GridNotRepresented:
+            continue
+    else:
+        raise GridNotRepresented(tuple(range(spec.d)))
+    target = analysis.grid_char_polygon(spec).polygon
+    rows = []
+    for n in sorted(ns):
+        points = []
+        for line in lines:
+            by_t = sorted((c for c in ball if line in (c.a, c.b)),
+                          key=lambda c: spec.line_parameter(line, c.point))
+            for start, direction in ((by_t[-1], +1), (by_t[0], -1)):
+                end = (_crossing_at(spec, start.point) if n == 0 else
+                       mg.nth_crossing(spec, line, start.point, direction, n))
+                points.append(end.point)
+        chain = geom.hull_chain([p / max(n, 1) for p in points])
+        rows.append(analysis.EndpointRow(n, geom.hausdorff_between(chain, target.vertices)))
+    return rows
+
+
+def _rows_or_refusal(diagnostic, spec, patch, ns):
+    try:
+        return diagnostic(spec, patch, ns)
+    except CoronagridError as exc:
+        return type(exc)
+
+
+@given(d=st.integers(3, 7), s=st.integers(0, 10**6), ball=st.integers(0, 2),
+       ns=st.lists(st.integers(0, 40), min_size=1, max_size=4))
+def test_endpoints_diagnostic_matches_per_n_walk(d, s, ball, ns):
+    """One walk per dominant line and direction gives the rows of a fresh
+    walk per n; where one refuses, so does the other, with the same type."""
+    spec = certify.random_multigrid(d, s)
+    layers = graph.bfs_layers([mg.nearest_crossing(spec)], partial(graph.neighbors, spec))
+    patch = graph.Patch(frozenset().union(*islice(layers, ball + 1)))
+    ns = [0, *ns, ns[0]]   # n = 0 and a repeated n in every example
+    assert _rows_or_refusal(analysis.endpoints_diagnostic, spec, patch, ns) \
+        == _rows_or_refusal(per_n_endpoint_rows, spec, patch, ns)
+
+
+@pytest.mark.parametrize("ns, refused", [([0, 2], False), ([0, 3, 30, 30], True)])
+def test_endpoints_diagnostic_refuses_as_per_n_walk(ns, refused):
+    """Three lines meet only at the origin.  Seeded at (0, 6), the patch
+    grows without refusal, and the walk down the dominant line x = 0 reaches
+    the origin only when it runs past n = 2."""
+    spec = MultigridSpec.from_angles([0, 90, 37], [0.0, 0.0, 0.0])
+    patch = graph.Patch(frozenset([mg.make_crossing(spec, mg.LineId(0, 0), mg.LineId(1, 6))]))
+    got = _rows_or_refusal(analysis.endpoints_diagnostic, spec, patch, ns)
+    assert got == _rows_or_refusal(per_n_endpoint_rows, spec, patch, ns)
+    assert (got is SingularMultigrid) == refused
+
+
+def test_endpoint_and_seed_paths_walk_keys(pentagrid, tmp_path, monkeypatch):
+    """endpoints_diagnostic, grow_until_dominant and a --ball seed run with
+    the Crossing-object neighbor walk switched off, under every name a
+    coronagrid module binds it to."""
+    def no_object_walk(*args):
+        raise AssertionError("graph.neighbors called")
+
+    original = graph.neighbors
+    for module in list(sys.modules.values()):
+        if (module.__name__.partition(".")[0] == "coronagrid"
+                and getattr(module, "neighbors", None) is original):
+            monkeypatch.setattr(module, "neighbors", no_object_walk)
+    seed = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
+    assert len(analysis.endpoints_diagnostic(pentagrid, seed, [0, 3])) == 2
+    assert analysis.grow_until_dominant(pentagrid, seed)[2] >= 1
+    assert run(["corona", "--dfold", "5", "--n", "3", "--ball", "2",
+                "--out", str(tmp_path)]) == 0

@@ -66,11 +66,13 @@ def test_validation_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     run_params = tmp_path / "run.cfg"
     run_params.write_text("dfold: 5\nradius: 3\n")
+    pentagrid_cfg = tmp_path / "pentagrid.cfg"
+    pentagrid_cfg.write_text("dfold: 5\n")
     bad_configs = []
     for k, text in enumerate(["normals: [(a, b), (0, 1)]", "angles: [0, x]",
                               "angles: [(0, 1)]", "angles: 7", "normals: 0.57",
                               "dfold: 5\noffsets: [0.5 x 99999999999]",
-                              "dfold: 5\noffsets: nan"]):
+                              "dfold: 5\noffsets: nan", "dfold: 90757"]):
         bad_configs.append(tmp_path / f"bad{k}.cfg")
         bad_configs[-1].write_text(text + "\n")
     assert run(["gen", "--angles", "0,0", "--out", str(out)]) == 2
@@ -97,6 +99,8 @@ def test_validation_exits_2(tmp_path, capsys):
                  ["gen", "--config", str(tmp_path / "missing.cfg")],
                  ["gen", "--config", str(tmp_path)],
                  ["gen", "--config", str(run_params)],
+                 ["gen", "--config", str(pentagrid_cfg), "--offsets", "0.1"],
+                 ["gen", "--dfold", "99999999999"],
                  *(["gen", "--config", str(path)] for path in bad_configs),
                  ["gen", "--dfold", "5", "--offsets", "0.5,nan"],
                  ["gen", "--angles", "0,90", "--offsets", "0.5,nan"]):

@@ -61,7 +61,7 @@ def test_neighbors_consecutive_along_line(pentagrid):
 def test_corona_step_square_cross(square):
     p = graph.Patch(frozenset([square_crossing(square, 0, 0)]))
     p1 = graph.corona_step(square, p)
-    assert len(p1) == 5
+    assert len(p1.crossings) == 5
 
 
 def test_corona_step_superset_and_adjacent(pentagrid):

@@ -45,6 +45,12 @@ def test_parse_normalizes_offsets_with_warning():
     assert spec.offsets == (0.25, 0.5, 0.5, 0.5, 0.5)
 
 
+def test_fold_warning_names_the_kept_offset():
+    with pytest.warns(UserWarning, match=r"offset -1e-20 normalized to 0\.0 "):
+        spec = cio.parse_spec("angles: [0, 90], offsets: [-1e-20, 0.5]")
+    assert spec.offsets == (0.0, 0.5)
+
+
 def test_parse_parallel_angles_invalid():
     with pytest.raises(ValidationError):
         cio.parse_spec("angles: [0, 0]")

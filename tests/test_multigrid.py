@@ -4,11 +4,10 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from coronagrid import multigrid as mg
+from coronagrid import analysis, graph, multigrid as mg
 from coronagrid.certify import random_multigrid
 from coronagrid.errors import (
     GridNotRepresented,
-    NotACrossing,
     ParallelLines,
     ResourceLimit,
     SameGrid,
@@ -22,6 +21,17 @@ from coronagrid.multigrid import LineId, MultigridSpec
 def test_spec_normalizes_offsets_mod_one():
     spec = MultigridSpec.from_angles([0, 90], [1.25, -0.5])
     assert spec.offsets == (0.25, 0.5)
+    # -1e-20 % 1.0 rounds to 1.0, which is folded once more
+    assert MultigridSpec.from_angles([0, 90], [-1e-20, 0.5]).offsets == (0.0, 0.5)
+
+
+def test_spec_refuses_too_many_grids():
+    assert MultigridSpec.dfold(mg.MAX_GRIDS - 1).d == mg.MAX_GRIDS - 1
+    for d in (mg.MAX_GRIDS + 1, 90757, 99999999999):
+        with pytest.raises(ValidationError, match="grid families"):
+            MultigridSpec.dfold(d)
+    with pytest.raises(ValidationError, match="grid families"):
+        MultigridSpec.from_angles([0.01 * k for k in range(mg.MAX_GRIDS + 1)], 0.5)
 
 
 def test_spec_rejects_parallel_directions():
@@ -295,15 +305,9 @@ def test_nth_crossing_speed_matches_spacing(pentagrid):
     assert dev <= 2.0, f"|alpha_100 - 100*speed| = {dev}"
 
 
-def test_nth_zero_at_crossing(pentagrid):
-    c = mg.make_crossing(pentagrid, LineId(0, 0), LineId(1, 0))
-    assert mg.nth_crossing(pentagrid, LineId(0, 0), c.point, +1, 0) == c
-
-
-def test_nth_zero_not_a_crossing(pentagrid):
-    with pytest.raises(NotACrossing):
-        mg.nth_crossing(pentagrid, LineId(0, 0),
-                        pentagrid.line_point(LineId(0, 0), 0.05), +1, 0)
+def test_nth_crossing_needs_n_at_least_one(pentagrid):
+    with pytest.raises(ValueError):
+        mg.nth_crossing(pentagrid, LineId(0, 0), pentagrid.line_point(LineId(0, 0), 0.0), +1, 0)
 
 
 # dominant lines and endpoints ----------------------------------------------
@@ -311,20 +315,20 @@ def test_nth_zero_not_a_crossing(pentagrid):
 def test_dominant_lines_square(square):
     cs = [mg.make_crossing(square, LineId(0, k0), LineId(1, k1))
           for k0 in (0, 1) for k1 in (0, 1)]
-    dom = mg.dominant_lines(square, cs)
+    dom = mg.dominant_lines(square, [c.key for c in cs])
     assert dom[0] == LineId(0, 0) and dom[1] == LineId(1, 0)
 
 
 def test_dominant_lines_missing_grid(pentagrid):
     only01 = [mg.make_crossing(pentagrid, LineId(0, 0), LineId(1, 0))]
     with pytest.raises(GridNotRepresented) as err:
-        mg.dominant_lines(pentagrid, only01)
+        mg.dominant_lines(pentagrid, [c.key for c in only01])
     assert err.value.missing == (2, 3, 4)
 
 
 def test_dominant_lines_postcondition(pentagrid):
     cs = mg.enumerate_crossings(pentagrid, 2.5)
-    dom = mg.dominant_lines(pentagrid, cs)
+    dom = mg.dominant_lines(pentagrid, [c.key for c in cs])
     for i in range(5):
         ks = {(c.a if c.a.grid == i else c.b).k for c in cs if i in c.grids}
         assert dom[i].k in ks
@@ -333,14 +337,11 @@ def test_dominant_lines_postcondition(pentagrid):
 
 
 def test_endpoints_square(square):
+    """Seeded at the origin, the square grid's endpoints 5 steps out, scaled
+    by 1/5, are exactly the vertices of its characteristic polygon."""
     seed = mg.make_crossing(square, LineId(0, 0), LineId(1, 0))
-    dom = mg.dominant_lines(square, [seed])
-    eps0 = mg.endpoints(square, dom, [seed], 0)
-    assert all(c == seed for pair in eps0.pairs for c in pair)
-    eps5 = mg.endpoints(square, dom, [seed], 5)
-    e_plus, e_minus = eps5.pairs[0]  # dominant line of grid 0 is x = 0
-    assert e_plus.point == pytest.approx(5j)
-    assert e_minus.point == pytest.approx(-5j)
+    rows = analysis.endpoints_diagnostic(square, graph.Patch(frozenset([seed])), [5])
+    assert rows == [analysis.EndpointRow(5, 0.0)]
 
 
 # misc ----------------------------------------------------------------------
