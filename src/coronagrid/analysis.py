@@ -11,6 +11,7 @@ normalized coronas and endpoint hulls approach them in Hausdorff distance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -20,15 +21,18 @@ from typing import Collection, Iterable, Literal, Sequence
 from . import geom
 from .dual import linear_dual, tile_corner_keys, vertex_position
 from .errors import GridNotRepresented, ValidationError
-from .geom import Polygon, from_convex_vertices, hull_chain, perp
+from .geom import Polygon, from_convex_vertices, hull_chain, hull_chain_xy, perp
 from .graph import CoronaSequence, Patch, bfs_layers, corona_sequence
-from .multigrid import (Crossing, Key, LineId, MultigridSpec, crossing_point, dominant_lines,
-                        neighbor_keys, walk_line)
+from .multigrid import (Crossing, Key, LineId, MultigridSpec, crossing_pairs, crossing_point,
+                        dominant_lines, line_crossings, neighbor_keys)
 
 Side = Literal["multigrid", "tiling"]
 
-# Corona steps grow_until_dominant takes before it gives up.
-_MAX_DOMINANT_STEPS = 64
+
+def _dominant_steps(d: int) -> int:
+    """Corona steps grow_until_dominant takes before it gives up: a d-fold
+    multigrid needs about d/2 from its nearest crossing."""
+    return max(64, d)
 
 
 @dataclass(frozen=True)
@@ -145,7 +149,8 @@ def convergence_table(
     A single corona run to max(ns) backs all rows; pass `sequence` to reuse
     an existing run.  The hull is grown frontier by frontier,
     hull(P_n) = hull(hull(P_{n-1}) + F_n), so each crossing's points are
-    taken once, from its key: no Crossing is built.
+    taken once, from its key: no Crossing is built.  The chain is kept as
+    (x, y) pairs.
     """
     ns = sorted(ns)
     if not ns or ns[0] < 1:
@@ -155,11 +160,14 @@ def convergence_table(
     if ns[-1] > seq.n_max:
         raise IndexError(f"corona index {ns[-1]} not in [0, {seq.n_max}]")
     rows = []
-    chain: list[complex] = []
+    chain: list[tuple[float, float]] = []
     for n, layer in enumerate(seq.layers[:ns[-1] + 1]):
-        chain = hull_chain(chain + shape_points(spec, layer, side))
+        points = (crossing_pairs(spec, layer) if side == "multigrid" else
+                  ((p.real, p.imag) for p in shape_points(spec, layer, side)))
+        chain = hull_chain_xy(itertools.chain(chain, points))
         for _ in range(ns.count(n)):
-            hull = geom.scale_polygon(geom.convex_hull(chain), 1.0 / n)
+            vertices = [complex(x, y) for x, y in chain]
+            hull = geom.scale_polygon(geom.convex_hull(vertices), 1.0 / n)
             h = geom.hausdorff_distance(hull, target)
             rows.append(ConvergenceRow(n, side, hull, h))
     return rows
@@ -169,16 +177,21 @@ def grow_until_dominant(
     spec: MultigridSpec, patch: Patch,
 ) -> tuple[frozenset[Key], tuple[LineId, ...], int]:
     """Grow the patch's keys by corona steps until every grid direction has a
-    line through them, then choose dominant lines.  Returns (keys, lines, steps)."""
+    line through them, then choose dominant lines.  Returns (keys, lines, steps).
+
+    Raises GridNotRepresented, naming the grids still missing, after
+    _dominant_steps(d) steps.
+    """
     layers = bfs_layers((c.key for c in patch.crossings), partial(neighbor_keys, spec))
     ball: frozenset[Key] = frozenset()
-    for steps, layer in enumerate(islice(layers, _MAX_DOMINANT_STEPS + 1)):
+    missing = GridNotRepresented(tuple(range(spec.d)))
+    for steps, layer in enumerate(islice(layers, _dominant_steps(spec.d) + 1)):
         ball |= layer
         try:
             return ball, dominant_lines(spec, ball), steps
-        except GridNotRepresented:
-            continue
-    raise GridNotRepresented(tuple(range(spec.d)))
+        except GridNotRepresented as exc:
+            missing = exc
+    raise missing
 
 
 @dataclass(frozen=True)
@@ -207,14 +220,19 @@ def endpoints_diagnostic(
     if not ns or ns[0] < 0:
         raise ValidationError("ns must be nonempty with n >= 0")
     ball, lines, _ = grow_until_dominant(spec, patch)
-    walks = []   # per dominant line and direction, the points at steps 0..max(ns)
+    wanted = set(ns)
+    walks = []   # per dominant line and direction, the point at each n in ns
     for line in lines:
         by_t = sorted((crossing_point(spec, (i, ki), (j, kj))
                        for i, ki, j, kj in ball if line in ((i, ki), (j, kj))),
                       key=partial(spec.line_parameter, line))
         for start, direction in ((by_t[-1], +1), (by_t[0], -1)):
-            steps = islice(walk_line(spec, line, start, direction), ns[-1])
-            walks.append([start, *(c.point for c in steps)])
+            steps = line_crossings(spec, line, spec.line_parameter(line, start), direction)
+            walk = {0: start}
+            for n, (_, j, m) in enumerate(islice(steps, ns[-1]), 1):
+                if n in wanted:
+                    walk[n] = crossing_point(spec, line, (j, m))
+            walks.append(walk)
     target = grid_char_polygon(spec).polygon.vertices
     chains = ((n, hull_chain([walk[n] / max(n, 1) for walk in walks])) for n in ns)
     return [EndpointRow(n, geom.hausdorff_between(chain, target)) for n, chain in chains]

@@ -87,19 +87,19 @@ def from_convex_vertices(vertices: Iterable[complex]) -> Polygon:
     return Polygon(_canonical_start(vs))
 
 
-def hull_chain(points: Iterable[complex]) -> list[complex]:
-    """Convex hull as a CCW vertex list; may be degenerate (1 or 2 points).
+def hull_chain_xy(points: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Convex hull of (x, y) pairs as a CCW vertex list; may be degenerate
+    (1 or 2 points).
 
     Andrew's monotone chain with an EPS_GEOM collinearity threshold:
     collinear interior points are dropped, so the result is strictly convex.
-    The chain runs on (x, y) pairs; its orientation test is
-    cross(b - a, p - b) written out, with the same float operations.
-    Whether a near-collinear point survives depends on the other points fed
-    in, not only on their convex hull.
+    Its orientation test is cross(b - a, p - b) written out, with the same
+    float operations.  Whether a near-collinear point survives depends on
+    the other points fed in, not only on their convex hull.
     """
-    pts = sorted(set((p.real, p.imag) for p in points))
+    pts = sorted(set(points))
     if len(pts) <= 2:
-        return [complex(x, y) for x, y in pts]
+        return pts
 
     def chain(seq):
         out: list[tuple[float, float]] = []
@@ -115,12 +115,17 @@ def hull_chain(points: Iterable[complex]) -> list[complex]:
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    hull = [complex(x, y) for x, y in lower[:-1] + upper[:-1]]
-    if len(hull) == 2 and abs(hull[0] - hull[1]) <= EPS_GEOM:
-        return hull[:1]
+    hull = chain(pts)[:-1] + chain(reversed(pts))[:-1]
+    if len(hull) == 2:
+        (ax, ay), (bx, by) = hull
+        if abs(complex(ax - bx, ay - by)) <= EPS_GEOM:
+            return hull[:1]
     return hull
+
+
+def hull_chain(points: Iterable[complex]) -> list[complex]:
+    """hull_chain_xy on complex points."""
+    return [complex(x, y) for x, y in hull_chain_xy((p.real, p.imag) for p in points)]
 
 
 def convex_hull(points: Iterable[complex]) -> Polygon:

@@ -222,13 +222,29 @@ def crossing_point(
     j, kj = b
     if i == j:
         raise ParallelLines(f"lines {a} and {b} are parallel (same grid)")
-    za, zb = spec.normals[i], spec.normals[j]
-    ra = spec.offsets[i] + ki
-    rb = spec.offsets[j] + kj
-    det = spec._crosses[i][j]
-    x = (ra * zb.imag - rb * za.imag) / det
-    y = (za.real * rb - zb.real * ra) / det
-    return complex(x, y)
+    levels = spec._levels
+    return complex(*_point_xy(levels[i], ki, levels[j], kj, spec._crosses[i][j]))
+
+
+def crossing_pairs(spec: MultigridSpec, keys: Iterable[Key]) -> Iterator[tuple[float, float]]:
+    """Per crossing key, its point as an (x, y) pair, bit for bit the
+    crossing_point of its two lines."""
+    levels, crosses = spec._levels, spec._crosses
+    for i, ki, j, kj in keys:
+        yield _point_xy(levels[i], ki, levels[j], kj, crosses[i][j])
+
+
+def _point_xy(
+    line_a: tuple[float, float, float], ka: int,
+    line_b: tuple[float, float, float], kb: int, det: float,
+) -> tuple[float, float]:
+    """The 2x2 solve for the lines ka and kb of two grids, each given as
+    its _levels entry (normal x, normal y, offset), with det their cross."""
+    ax, ay, ga = line_a
+    bx, by, gb = line_b
+    ra = ga + ka
+    rb = gb + kb
+    return (ra * by - rb * ay) / det, (ax * rb - bx * ra) / det
 
 
 def make_crossing(spec: MultigridSpec, a: LineId, b: LineId) -> Crossing:
@@ -255,15 +271,19 @@ def crossings_from_keys(
 
 def _levels_on_segment(
     spec: MultigridSpec, i: int, k: int, j: int, t0: float, t1: float,
+    direction: int = 1,
 ) -> tuple[range, float, float]:
-    """The levels m of the grid-j lines that cross line (i, k) at parameters
-    in the half-open (t0, t1], in increasing parameter order, with ``base``
-    and ``s``: level m crosses at parameter ``(m - base) / s``.
+    """The levels m of the grid-j lines that cross line (i, k) where
+    ``direction * parameter`` lies in the half-open (t0, t1], in increasing
+    order of it, with ``base`` and ``s = direction * cross(i, j)``: level m
+    crosses where ``direction * parameter == (m - base) / s``.
 
     Closed-form integer-level range; together with the snapped boundary
-    convention this makes segment concatenation exactly additive.
+    convention this makes segment concatenation exactly additive.  Its
+    first level is the one line_steps gives from the parameter t0 /
+    direction in that direction.
     """
-    s = spec._crosses[i][j]
+    s = direction * spec._crosses[i][j]
     base = (spec.offsets[i] + k) * spec._dots[i][j] - spec.offsets[j]
     u0 = base + t0 * s
     u1 = base + t1 * s
@@ -330,19 +350,23 @@ def line_steps(
     ``(up, down)`` for directions +1 and -1, each ``(grid, level, parameter,
     gap)``, where gap is the distance to the runner-up candidate.
 
-    O(d): per other grid, one level value gives the next integer level both
-    ways in closed form.  Refuses nothing; callers refuse a gap below
-    EPS_SINGULAR, where the order of the two candidates would be
-    numerically meaningless.
+    O(d): per other grid, one level value u gives the next integer level
+    both ways in closed form, from one floor f = floor(u + _SNAP): f + 1
+    above, and below ceil(u - _SNAP) - 1, which equals f if u - _SNAP > f
+    and f - 1 otherwise, because float rounding is monotone.  Refuses nothing;
+    callers refuse a gap below EPS_SINGULAR, where the order of the two
+    candidates would be numerically meaningless.
     """
-    floor, ceil = math.floor, math.ceil
+    floor = math.floor
     r = spec.offsets[i] + k
     up_dt = up_second = down_dt = down_second = math.inf
     for l, s, dot, offset in spec._steps[i]:
         base = r * dot - offset
         u = base + t * s
-        above = floor(u + _SNAP) + 1
-        below = ceil(u - _SNAP) - 1
+        below = floor(u + _SNAP)
+        above = below + 1
+        if u - _SNAP <= below:
+            below -= 1
         if s < 0:
             above, below = below, above
         tm = (above - base) / s
@@ -363,6 +387,10 @@ def line_steps(
             (down_l, down_m, down_t, down_second - down_dt))
 
 
+def _coincide(line: LineId, t: float) -> SingularMultigrid:
+    return SingularMultigrid(f"two crossings coincide on line {line} near parameter {t}")
+
+
 def next_crossing_on_line(
     spec: MultigridSpec, line: LineId, t: float, direction: int,
 ) -> tuple[float, Crossing]:
@@ -374,8 +402,7 @@ def next_crossing_on_line(
     """
     j, m, tm, gap = line_steps(spec, line.grid, line.k, t)[direction < 0]
     if gap < EPS_SINGULAR:
-        raise SingularMultigrid(
-            f"two crossings coincide on line {line} near parameter {tm}")
+        raise _coincide(line, tm)
     return tm, make_crossing(spec, line, LineId(j, m))
 
 
@@ -399,23 +426,106 @@ def neighbor_keys(spec: MultigridSpec, key: Key) -> tuple[Key, Key, Key, Key]:
     for g, k, t in ((i, ki, ta), (j, kj, tb)):
         for l, m, tm, gap in line_steps(spec, g, k, t):
             if gap < EPS_SINGULAR:
-                raise SingularMultigrid(
-                    f"two crossings coincide on line {LineId(g, k)} near parameter {tm}")
+                raise _coincide(LineId(g, k), tm)
             out.append((g, k, l, m) if g < l else (l, m, g, k))
     return tuple(out)
+
+
+# A walk along a line lists and sorts one stretch of it at a time, sized
+# by the line's crossing density to hold about _FIRST_CHUNK crossings at
+# first, then twice as many each time up to _CHUNK_CROSSINGS: a walk of a
+# few steps lists a few crossings, and a long one sorts 32 at a time.
+_FIRST_CHUNK = 4
+_CHUNK_CROSSINGS = 32
+
+
+def line_crossings(
+    spec: MultigridSpec, line: LineId, t: float, direction: int,
+) -> Iterator[tuple[float, int, int]]:
+    """The crossings of `line` strictly beyond parameter t in direction +-1,
+    nearest first, as ``(parameter, grid, level)``: a lazy, endless walk
+    that takes the steps, and raises the SingularMultigrid, of a loop of
+    next_crossing_on_line calls from t.
+
+    The crossings come from _levels_on_segment's closed form, sorted one
+    chunk at a time, so a step costs O(1) instead of line_steps' O(d).
+    Raises ValueError at once unless direction is +1 or -1.
+    """
+    if direction not in (1, -1):
+        raise ValueError("direction must be +1 or -1")
+    return _sorted_walk(spec, line, direction * t, direction)
+
+
+def _sorted_walk(
+    spec: MultigridSpec, line: LineId, p: float, direction: int,
+) -> Iterator[tuple[float, int, int]]:
+    """line_crossings on positions p = direction * parameter, which grow
+    along the walk; _levels_on_segment gives each grid's levels there.
+
+    Each step is the one line_steps takes from the last position p: both
+    compute a crossing's position as (m - base) / s, and two rules cover
+    the rest.
+    - A level within _SNAP of u(p) in level space is one line_steps takes
+      as lying at p, so it is passed over, as the nearest crossing or as
+      the runner-up.  u only grows along the walk, so it stays passed over.
+    - The runner-up is looked for only within 2 * EPS_SINGULAR beyond the
+      nearest crossing, where a refusal can happen: with d = 2 there is
+      none, and a nearly parallel grid's next level may lie far away.  A
+      refusal names the parameter line_steps gives.
+    A chunk is listed once its predecessor no longer covers that window,
+    and merged with what is left of the predecessor: a level within _SNAP
+    of a chunk's end can lie beyond it.
+    """
+    i, k = line
+    grids = [l for l in range(spec.d) if l != i]
+    density = sum(abs(spec._crosses[i][l]) for l in grids)
+    chunk = _FIRST_CHUNK
+    reach = 2 * EPS_SINGULAR
+    slopes: list[tuple[float, float]] = [(0.0, 0.0)] * spec.d   # per grid: base, s
+    todo: list[tuple[float, int, int]] = []   # sorted (position, grid, level)
+    at = 0
+    end = p   # every crossing up to position `end` is in todo, or passed
+    while True:
+        while at == len(todo) or todo[at][0] + reach > end:
+            start, end = end, end + chunk / density
+            chunk = min(2 * chunk, _CHUNK_CROSSINGS)
+            todo = todo[at:]
+            at = 0
+            for l in grids:
+                ms, base, s = _levels_on_segment(spec, i, k, l, start, end, direction)
+                slopes[l] = base, s
+                todo += [((m - base) / s, l, m) for m in ms]
+            todo.sort()
+        q, l, m = todo[at]
+        at += 1
+        base, s = slopes[l]
+        u = base + p * s
+        if (m <= u + _SNAP) if s > 0 else (m >= u - _SNAP):
+            continue
+        if at < len(todo) and todo[at][0] <= q + reach:
+            for q2, l2, m2 in islice(todo, at, None):
+                if q2 > q + reach:
+                    break
+                base, s = slopes[l2]
+                u = base + p * s
+                if (m2 <= u + _SNAP) if s > 0 else (m2 >= u - _SNAP):
+                    continue
+                if (q2 - p) - (q - p) < EPS_SINGULAR:
+                    # line_steps names the parameter of its nearest candidate
+                    raise _coincide(line, line_steps(spec, i, k, direction * p)[direction < 0][2])
+                break
+        p = q
+        yield direction * q, l, m
 
 
 def walk_line(
     spec: MultigridSpec, line: LineId, start: complex, direction: int,
 ) -> Iterator[Crossing]:
     """The crossings of `line` beyond the point `start` on it, nearest first,
-    in direction +-1: a lazy, endless walk of next_crossing_on_line steps."""
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    t = spec.line_parameter(line, start)
-    while True:
-        t, crossing = next_crossing_on_line(spec, line, t, direction)
-        yield crossing
+    in direction +-1, as line_crossings gives them.  Raises ValueError at
+    once unless direction is +1 or -1."""
+    steps = line_crossings(spec, line, spec.line_parameter(line, start), direction)
+    return (make_crossing(spec, line, LineId(j, m)) for _, j, m in steps)
 
 
 def nth_crossing(

@@ -189,6 +189,25 @@ def test_endpoints_diagnostic_pentagrid_decreasing(pentagrid):
     assert all(math.isfinite(r.n_times_h) for r in rows)
 
 
+def test_endpoints_diagnostic_large_d():
+    """dfold(131) needs 65 corona steps before every grid has a line through
+    the patch, more than the old fixed bound of 64."""
+    spec = MultigridSpec.dfold(131, 0.5)
+    seed = graph.Patch(frozenset([mg.nearest_crossing(spec)]))
+    rows = analysis.endpoints_diagnostic(spec, seed, [0, 3])
+    assert [r.n for r in rows] == [0, 3] and all(math.isfinite(r.h) for r in rows)
+
+
+def test_grow_until_dominant_names_missing_grids(pentagrid, monkeypatch):
+    """Out of steps, the refusal names the grids the patch still lacks."""
+    monkeypatch.setattr(analysis, "_dominant_steps", lambda d: 0)
+    seed = mg.nearest_crossing(pentagrid)
+    with pytest.raises(GridNotRepresented) as err:
+        analysis.grow_until_dominant(pentagrid, graph.Patch(frozenset([seed])))
+    assert err.value.missing == tuple(g for g in range(5) if g not in seed.grids)
+    assert len(err.value.missing) == 3
+
+
 def test_grow_until_dominant(pentagrid):
     seed = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
     ball, lines, steps = analysis.grow_until_dominant(pentagrid, seed)
@@ -214,7 +233,8 @@ def _crossing_at(spec, z):
 def per_n_endpoint_rows(spec, patch, ns):
     """Reference for endpoints_diagnostic: grow with graph.neighbors until
     dominant_lines succeeds, then, for every n on its own, walk n crossings
-    out from the ball's extremes with nth_crossing (_crossing_at at n = 0)."""
+    out from the ball's extremes, one next_crossing_on_line step at a time
+    (_crossing_at at n = 0)."""
     layers = graph.bfs_layers(patch.crossings, partial(graph.neighbors, spec))
     ball = frozenset()
     for layer in islice(layers, 65):
@@ -234,8 +254,10 @@ def per_n_endpoint_rows(spec, patch, ns):
             by_t = sorted((c for c in ball if line in (c.a, c.b)),
                           key=lambda c: spec.line_parameter(line, c.point))
             for start, direction in ((by_t[-1], +1), (by_t[0], -1)):
-                end = (_crossing_at(spec, start.point) if n == 0 else
-                       mg.nth_crossing(spec, line, start.point, direction, n))
+                end = _crossing_at(spec, start.point) if n == 0 else None
+                t = spec.line_parameter(line, start.point)
+                for _ in range(n):
+                    t, end = mg.next_crossing_on_line(spec, line, t, direction)
                 points.append(end.point)
         chain = geom.hull_chain([p / max(n, 1) for p in points])
         rows.append(analysis.EndpointRow(n, geom.hausdorff_between(chain, target.vertices)))

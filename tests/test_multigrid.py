@@ -1,16 +1,20 @@
+import cmath
 import math
+from itertools import islice
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coronagrid import analysis, graph, multigrid as mg
 from coronagrid.certify import random_multigrid
 from coronagrid.errors import (
+    CoronagridError,
     GridNotRepresented,
     ParallelLines,
     ResourceLimit,
     SameGrid,
+    SingularMultigrid,
     ValidationError,
 )
 from coronagrid.multigrid import LineId, MultigridSpec
@@ -308,6 +312,176 @@ def test_nth_crossing_speed_matches_spacing(pentagrid):
 def test_nth_crossing_needs_n_at_least_one(pentagrid):
     with pytest.raises(ValueError):
         mg.nth_crossing(pentagrid, LineId(0, 0), pentagrid.line_point(LineId(0, 0), 0.0), +1, 0)
+
+
+def test_walks_check_direction_at_call(pentagrid):
+    line = LineId(0, 0)
+    with pytest.raises(ValueError, match="direction"):
+        mg.walk_line(pentagrid, line, pentagrid.line_point(line, 0.0), 2)
+    with pytest.raises(ValueError, match="direction"):
+        mg.line_crossings(pentagrid, line, 0.0, 0)
+
+
+# line walks: chunked walk and single-step kernel ---------------------------
+
+def two_call_line_steps(spec, i, k, t):
+    """Reference for line_steps: one floor above and one ceil below per grid."""
+    r = spec.offsets[i] + k
+    up_dt = up_second = down_dt = down_second = math.inf
+    for l, s, dot, offset in spec._steps[i]:
+        base = r * dot - offset
+        u = base + t * s
+        above = math.floor(u + mg._SNAP) + 1
+        below = math.ceil(u - mg._SNAP) - 1
+        if s < 0:
+            above, below = below, above
+        tm = (above - base) / s
+        dt = tm - t
+        if dt < up_dt:
+            up_second, up_dt = up_dt, dt
+            up_l, up_m, up_t = l, above, tm
+        elif dt < up_second:
+            up_second = dt
+        tm = (below - base) / s
+        dt = t - tm
+        if dt < down_dt:
+            down_second, down_dt = down_dt, dt
+            down_l, down_m, down_t = l, below, tm
+        elif dt < down_second:
+            down_second = dt
+    return ((up_l, up_m, up_t, up_second - up_dt),
+            (down_l, down_m, down_t, down_second - down_dt))
+
+
+@given(n=st.one_of(st.integers(-100, 100), st.integers(-2**52, 2**52)),
+       delta=st.sampled_from([0.0, mg._SNAP / 2, mg._SNAP, 2 * mg._SNAP]),
+       sign=st.sampled_from([1, -1]), s=st.sampled_from([1, -1]), k=st.integers(-3, 3))
+def test_line_steps_one_floor_matches_two_calls(n, delta, sign, s, k):
+    """On the zero-offset square grid, grid 1 crosses the line (0, k) at
+    level u = t (s = +1) and grid 0 crosses the line (1, k) at u = -t
+    (s = -1), so u takes each drawn value exactly."""
+    spec = MultigridSpec((1, 1j), (0.0, 0.0))
+    u = n + sign * delta
+    i, t = (0, u) if s > 0 else (1, -u)
+    assert spec.cross(i, 1 - i) == s
+    got = mg.line_steps(spec, i, k, t)
+    assert repr(got) == repr(two_call_line_steps(spec, i, k, t))
+
+
+def stepped_walk(spec, line, t, direction, steps):
+    """Reference for line_crossings: `steps` next_crossing_on_line calls,
+    each from the last parameter, as (parameter, key, point); a refusal
+    ends the list with its type and message."""
+    out = []
+    try:
+        for _ in range(steps):
+            t, c = mg.next_crossing_on_line(spec, line, t, direction)
+            out.append((repr(t), c.key, c.point))
+    except CoronagridError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def chunked_walk(spec, line, t, direction, steps):
+    out = []
+    try:
+        for tm, j, m in islice(mg.line_crossings(spec, line, t, direction), steps):
+            c = mg.make_crossing(spec, line, LineId(j, m))
+            out.append((repr(tm), c.key, c.point))
+    except CoronagridError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+@st.composite
+def walk_specs(draw):
+    """The square grid or d = 2..7 drawn directions, optionally with a pair
+    of grids 1e-7 to 1e-2 degrees apart.  Offsets are all 0 (every k = 0
+    line passes through the origin), all 0.5, or each 0, 0.5 or drawn."""
+    angle = st.floats(0.0, 180.0, exclude_max=True)
+    angles = draw(st.one_of(st.just([0.0, 90.0]),
+                            *(st.lists(angle, min_size=d, max_size=d) for d in range(2, 8))))
+    if draw(st.booleans()):
+        pair = draw(st.integers(0, len(angles) - 2))
+        angles[pair + 1] = angles[pair] + draw(st.floats(1e-7, 1e-2))
+    offset = draw(st.sampled_from([st.just(0.0), st.just(0.5), st.one_of(
+        st.just(0.0), st.just(0.5), st.floats(0.0, 1.0, exclude_max=True))]))
+    offsets = draw(st.lists(offset, min_size=len(angles), max_size=len(angles)))
+    try:
+        return MultigridSpec.from_angles(angles, offsets)
+    except ValidationError:
+        assume(False)
+
+
+@settings(max_examples=300)
+@given(spec=walk_specs(), data=st.data())
+def test_line_crossings_match_stepped_walk(spec, data):
+    """The chunked walk takes the steps of a next_crossing_on_line loop,
+    both ways, with the same parameters, or the same refusal and message.
+    Walks start at 0, at a drawn parameter, or at a crossing with a grid
+    that is not nearly parallel to the line's: a crossing with a nearly
+    parallel grid lies about 1e8 out, where a level's float spacing
+    exceeds _SNAP and the single step can repeat a crossing."""
+    for _ in range(2):
+        i = data.draw(st.integers(0, spec.d - 1))
+        line = LineId(i, data.draw(st.integers(-2, 2)))
+        crossing = st.sampled_from([j for j in range(spec.d)
+                                    if j != i and abs(spec.cross(i, j)) > 1e-3] or [None])
+        j = data.draw(crossing)
+        if j is not None and data.draw(st.booleans()):
+            at = mg.crossing_point(spec, line, (j, data.draw(st.integers(-3, 3))))
+            t = spec.line_parameter(line, at)
+        else:
+            t = data.draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))
+        for direction in (1, -1):
+            assert (chunked_walk(spec, line, t, direction, 150)
+                    == stepped_walk(spec, line, t, direction, 150))
+
+
+@pytest.mark.xfail(strict=True, reason="line_steps can return the crossing it starts from "
+                   "where a level's float spacing exceeds _SNAP")
+def test_line_crossings_match_stepped_walk_far_out():
+    """A 7-grid spec whose grids 3 and 4 are about 6e-9 radians apart: their
+    lines cross about 4.7e8 out, where levels near 2.4e8 are spaced 3e-8
+    apart, more than _SNAP.  There, from the 103rd step on, the loop of
+    next_crossing_on_line steps returns the crossing (4, 1, 5, 238378564)
+    over and over, and the chunked walk goes on past it."""
+    normals = ((0.7441324984952004+0.6680320536346221j), (0.6047752158282476+0.7963962194284303j),
+               (-0.5606963083550588+0.8280215273753508j), (-0.6662496396952219+0.7457287828734969j),
+               (-0.6662496444421585+0.7457287786324847j), (-0.9519302312249167+0.3063149276154797j),
+               (-0.9777899902252007+0.20958705832040747j))
+    spec = MultigridSpec(normals, (0.5,) * 7)
+    line, t = LineId(4, 1), 471290541.22133875
+    assert chunked_walk(spec, line, t, 1, 150) == stepped_walk(spec, line, t, 1, 150)
+
+
+@pytest.mark.parametrize("angle, beyond, refused", [
+    (45.0, 0.7e-7, True), (45.0, 1.5e-7, False), (1e-7, 0.5e-7, False)])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_line_crossings_near_a_crossing(angle, beyond, refused, direction):
+    """A walk on the line x = 0 from 1 - 0.7 * direction crosses the 135
+    degree grid at 1 - 0.3 * direction and y = 1 at 1; the level-0 line of
+    a grid at `angle` degrees crosses it `beyond` past 1.  Less than
+    EPS_SINGULAR past is a refusal.  Only 1e-7 degrees off the line, that
+    crossing lies within _SNAP of the 135 degree one in level space, so the
+    single step from there passes over it."""
+    third = cmath.exp(1j * math.radians(angle))
+    fourth = cmath.exp(1j * math.radians(135.0))
+    spec = MultigridSpec((1, 1j, third, fourth),
+                         (0.0, 0.0, (1 + direction * beyond) * third.imag,
+                          (1 - 0.3 * direction) * fourth.imag))
+    line, t = LineId(0, 0), 1 - 0.7 * direction
+    want = stepped_walk(spec, line, t, direction, 4)
+    assert chunked_walk(spec, line, t, direction, 4) == want
+    assert (want[1][0] is SingularMultigrid) == refused
+    # from the first chunk's length back, that chunk ends between 1 and the
+    # third grid's crossing
+    length = mg._FIRST_CHUNK / sum(abs(spec.cross(0, l)) for l in (1, 2, 3))
+    t = 1 + direction * (beyond / 2 - length)
+    steps = 4 + math.ceil(length * 3)
+    want = stepped_walk(spec, line, t, direction, steps)
+    assert chunked_walk(spec, line, t, direction, steps) == want
+    assert (want[-1][0] is SingularMultigrid) == refused
 
 
 # dominant lines and endpoints ----------------------------------------------
