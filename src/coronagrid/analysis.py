@@ -24,7 +24,7 @@ from .errors import GridNotRepresented, ValidationError
 from .geom import Polygon, from_convex_vertices, hull_chain, hull_chain_xy, perp
 from .graph import CoronaSequence, Patch, bfs_layers, corona_sequence
 from .multigrid import (Crossing, Key, LineId, MultigridSpec, crossing_pairs, crossing_point,
-                        dominant_lines, line_crossings, neighbor_keys)
+                        dominant_lines, frontier_neighbor_keys, line_crossings)
 
 Side = Literal["multigrid", "tiling"]
 
@@ -182,7 +182,8 @@ def grow_until_dominant(
     Raises GridNotRepresented, naming the grids still missing, after
     _dominant_steps(d) steps.
     """
-    layers = bfs_layers((c.key for c in patch.crossings), partial(neighbor_keys, spec))
+    layers = bfs_layers((c.key for c in patch.crossings),
+                        partial(frontier_neighbor_keys, spec))
     ball: frozenset[Key] = frozenset()
     missing = GridNotRepresented(tuple(range(spec.d)))
     for steps, layer in enumerate(islice(layers, _dominant_steps(spec.d) + 1)):

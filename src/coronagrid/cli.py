@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from io import StringIO
-from itertools import islice
 from pathlib import Path
 
 from . import analysis, certify, graph, io, sandpile
 from .dual import tiling_window
 from .errors import CoronagridError, ParseError, ValidationError
-from .multigrid import (LineId, MultigridSpec, crossings_from_keys, make_crossing,
-                        nearest_crossing, neighbor_keys)
+from .multigrid import LineId, MultigridSpec, make_crossing, nearest_crossing
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
@@ -121,9 +118,8 @@ def _seed_patch(spec: MultigridSpec, args) -> graph.Patch:
         seed = make_crossing(spec, LineId(i, ki), LineId(j, kj))
     else:
         seed = nearest_crossing(spec)
-    layers = graph.bfs_layers([seed.key], partial(neighbor_keys, spec))
-    ball = crossings_from_keys(spec, islice(layers, args.ball + 1))
-    return graph.Patch(frozenset().union(*ball))
+    ball = graph.corona_sequence(spec, graph.Patch(frozenset([seed])), args.ball)
+    return graph.Patch(frozenset().union(*ball.frontiers))
 
 
 def _ns(args) -> list[int]:

@@ -2,9 +2,10 @@
 
 Vertices are crossings; two crossings are adjacent when they are consecutive
 along a common grid line.  Nothing is ever materialized beyond the explored
-region: neighbor generation solves, per other grid, for the next integer
-level in closed form, so each neighbor costs O(d) regardless of how far the
-walk has drifted from the origin.
+region: a BFS layer is expanded by multigrid.frontier_neighbor_keys, which
+solves each crossing's point once and reads every other grid's level there
+once for both of its lines, so a crossing's 4 neighbors cost O(d) together
+regardless of how far the walk has drifted from the origin.
 
 The same graph is the tile-adjacency graph of the dual rhombus tiling, which
 is why coronas computed here are tiling coronas as well.
@@ -26,6 +27,7 @@ from .multigrid import (
     MultigridSpec,
     crossings_from_keys,
     default_crossing_cap,
+    frontier_neighbor_keys,
     make_crossing,
     neighbor_keys,
 )
@@ -48,23 +50,24 @@ class Patch:
 
 
 def bfs_layers(
-    sources: Iterable[Node], neighbors_of: Callable[[Node], Iterable[Node]],
+    sources: Iterable[Node], expand: Callable[[frozenset[Node]], set[Node]],
 ) -> Iterator[frozenset[Node]]:
     """Yield the nodes at graph distance 0, 1, 2, ... from `sources`.
 
-    Every consumer of breadth-first search in the package reads this one
-    generator.  It holds only the previous, current and next layer and no
-    visited set: in an undirected graph a layer-n node's neighbors all lie
-    in layers n-1, n and n+1.  A layer is computed only when asked for, and
-    the walk ends after the last nonempty layer of a finite graph.
+    `expand` maps a layer to a new set of its nodes' neighbors: on crossing
+    keys, multigrid.frontier_neighbor_keys; a per-node neighbor function
+    is wrapped as a set comprehension over the layer.  Every consumer of
+    breadth-first search in the package reads this one generator.  It
+    holds only the previous, current and next layer and no visited set: in
+    an undirected graph a layer-n node's neighbors all lie in layers n-1, n
+    and n+1.  A layer is computed only when asked for, and the walk ends
+    after the last nonempty layer of a finite graph.
     """
     previous: frozenset[Node] = frozenset()
     current = frozenset(sources)
     while current:
         yield current
-        nxt: set[Node] = set()
-        for node in current:
-            nxt.update(neighbors_of(node))
+        nxt = expand(current)
         nxt -= current
         nxt -= previous
         previous, current = current, frozenset(nxt)
@@ -72,7 +75,8 @@ def bfs_layers(
 
 def corona_step(spec: MultigridSpec, patch: Patch) -> Patch:
     """One growth step: the patch plus every crossing adjacent to it."""
-    layers = bfs_layers(patch.crossings, partial(neighbors, spec))
+    layers = bfs_layers(patch.crossings,
+                        lambda layer: {nb for c in layer for nb in neighbors(spec, c)})
     return Patch(frozenset().union(*islice(layers, 2)))
 
 
@@ -126,7 +130,8 @@ def corona_sequence(
     ResourceLimit.
     """
     cap = default_crossing_cap() if max_crossings is None else max_crossings
-    layers = bfs_layers((c.key for c in patch.crossings), partial(neighbor_keys, spec))
+    layers = bfs_layers((c.key for c in patch.crossings),
+                        partial(frontier_neighbor_keys, spec))
     kept = []
     total = 0
     for n in range(n_max + 1):
@@ -147,7 +152,7 @@ def graph_distance(
     This is the oracle the shortest-path facts are checked against; it never
     assumes anything about path shapes.
     """
-    for dist, layer in enumerate(bfs_layers([a.key], partial(neighbor_keys, spec))):
+    for dist, layer in enumerate(bfs_layers([a.key], partial(frontier_neighbor_keys, spec))):
         if b.key in layer:
             return dist
         if dist >= cap:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import sub
@@ -42,6 +43,11 @@ EPS_SINGULAR = 1e-7
 # Snap tolerance for "is this level an integer" decisions when counting and
 # walking; keeps the half-open boundary convention stable under float noise.
 _SNAP = EPS_GEOM
+
+# About twice the float error of a grid's level at crossing (i, ki, j, kj), as
+# line_steps or frontier_neighbor_keys solves it, per unit of
+# (|offset_i + ki| + |offset_j + kj| + 1) / |cross(i, j)|.
+_ROUNDING = 16 * sys.float_info.epsilon
 
 CAP_ENV = "CORONAGRID_MAX_CROSSINGS"
 
@@ -106,6 +112,9 @@ class MultigridSpec:
     # per grid i: (normal_i.real, normal_i.imag, offset_i), the terms of level(i, z)
     _levels: tuple[tuple[float, float, float], ...] = field(
         init=False, repr=False, compare=False)
+    # per grid i: the largest (|offset_i + ki| + |offset_j + kj| + 1) / |cross(i, j)|
+    # at which frontier_neighbor_keys decides a crossing on an i-line itself
+    _trusted: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normals = tuple(complex(z) for z in self.normals)
@@ -136,6 +145,9 @@ class MultigridSpec:
         object.__setattr__(self, "_steps", steps)
         object.__setattr__(self, "_levels", tuple((z.real, z.imag, g)
                                                   for z, g in zip(normals, offsets)))
+        object.__setattr__(self, "_trusted", tuple(
+            min(_SNAP, min(abs(s) for _, s, _, _ in row) * EPS_SINGULAR / 4) / _ROUNDING
+            for row in steps))
 
     @classmethod
     def dfold(cls, d: int, offsets: float | Sequence[float] = 0.5) -> "MultigridSpec":
@@ -416,6 +428,9 @@ def neighbor_keys(spec: MultigridSpec, key: Key) -> tuple[Key, Key, Key, Key]:
     Raises SingularMultigrid, for line a before line b and direction +1
     before -1, when the two nearest candidates in a direction are closer
     than EPS_SINGULAR.
+
+    The per-crossing reference: frontier_neighbor_keys expands whole layers
+    and hands this the crossings near a coincidence, and every refusal.
     """
     i, ki, j, kj = key
     offsets = spec.offsets
@@ -429,6 +444,87 @@ def neighbor_keys(spec: MultigridSpec, key: Key) -> tuple[Key, Key, Key, Key]:
                 raise _coincide(LineId(g, k), tm)
             out.append((g, k, l, m) if g < l else (l, m, g, k))
     return tuple(out)
+
+
+def frontier_neighbor_keys(spec: MultigridSpec, layer: Iterable[Key]) -> set[Key]:
+    """The union of neighbor_keys over the crossings with these keys, in
+    one pass: per crossing, one 2x2 solve for its point, one level u_l per
+    other grid l, which gives the next l-lines both ways on line a (through
+    cross(i, l)) and on line b (through cross(j, l)), and the partner grid's
+    lines at 1/|cross(i, j)| in closed form.
+
+    These differ from line_steps' values by rounding only, so neighbor_keys
+    itself decides a crossing, and makes any refusal, wherever rounding
+    could change a floor or an order: some u_l within 2 * _SNAP of an
+    integer, a runner-up gap below 2 * EPS_SINGULAR, or levels whose
+    rounding bound reaches _SNAP or, over the nearest grid's cross,
+    EPS_SINGULAR / 4 (far out, or on nearly parallel grids).  Crossings are
+    taken in iteration order, so a refusal is the one a loop of
+    neighbor_keys calls makes.
+    """
+    out: set[Key] = set()
+    add = out.add
+    levels, crosses, trusted = spec._levels, spec._crosses, spec._trusted
+    floor = math.floor
+    low, high, gap = 2 * _SNAP, 1.0 - 2 * _SNAP, 2 * EPS_SINGULAR
+    for key in layer:
+        i, ki, j, kj = key
+        det = crosses[i][j]
+        ax, ay, ga = levels[i]
+        bx, by, gb = levels[j]
+        ra, rb = ga + ki, gb + kj
+        lim = trusted[i] if trusted[i] < trusted[j] else trusted[j]
+        if abs(ra) + abs(rb) + 1.0 <= abs(det) * lim:
+            x = (ra * by - rb * ay) / det
+            y = (ax * rb - bx * ra) / det
+            row_a, row_b = crosses[i], crosses[j]
+            # per line (a, b) and direction (up, dn): the distance, grid and
+            # level of the nearest crossing, the partner grid's until beaten,
+            # and the runner-up's distance
+            step = 1 if det > 0 else -1   # the change of kj along +t on line a
+            a_up = a_dn = b_up = b_dn = 1.0 / abs(det)
+            a_up2 = a_dn2 = b_up2 = b_dn2 = math.inf
+            a_up_l, a_up_m, a_dn_l, a_dn_m = j, kj + step, j, kj - step
+            b_up_l, b_up_m, b_dn_l, b_dn_m = i, ki - step, i, ki + step
+            for l, (nx, ny, g) in enumerate(levels):
+                if l == i or l == j:
+                    continue
+                u = x * nx + y * ny - g
+                f = floor(u)
+                lo = u - f
+                if lo < low or lo > high:
+                    break
+                hi = 1.0 - lo
+                s = row_a[l]
+                up, dn = (hi / s, lo / s) if s > 0 else (lo / -s, hi / -s)
+                if up < a_up:
+                    a_up2, a_up, a_up_l, a_up_m = a_up, up, l, f + (s > 0)
+                elif up < a_up2:
+                    a_up2 = up
+                if dn < a_dn:
+                    a_dn2, a_dn, a_dn_l, a_dn_m = a_dn, dn, l, f + (s < 0)
+                elif dn < a_dn2:
+                    a_dn2 = dn
+                s = row_b[l]
+                up, dn = (hi / s, lo / s) if s > 0 else (lo / -s, hi / -s)
+                if up < b_up:
+                    b_up2, b_up, b_up_l, b_up_m = b_up, up, l, f + (s > 0)
+                elif up < b_up2:
+                    b_up2 = up
+                if dn < b_dn:
+                    b_dn2, b_dn, b_dn_l, b_dn_m = b_dn, dn, l, f + (s < 0)
+                elif dn < b_dn2:
+                    b_dn2 = dn
+            else:
+                if (a_up2 - a_up >= gap and a_dn2 - a_dn >= gap
+                        and b_up2 - b_up >= gap and b_dn2 - b_dn >= gap):
+                    add((i, ki, a_up_l, a_up_m) if i < a_up_l else (a_up_l, a_up_m, i, ki))
+                    add((i, ki, a_dn_l, a_dn_m) if i < a_dn_l else (a_dn_l, a_dn_m, i, ki))
+                    add((j, kj, b_up_l, b_up_m) if j < b_up_l else (b_up_l, b_up_m, j, kj))
+                    add((j, kj, b_dn_l, b_dn_m) if j < b_dn_l else (b_dn_l, b_dn_m, j, kj))
+                    continue
+        out.update(neighbor_keys(spec, key))
+    return out
 
 
 # A walk along a line lists and sorts one stretch of it at a time, sized

@@ -88,7 +88,7 @@ def _boundary_halo(neighbors: list[tuple[int, ...]]) -> set[int]:
     """Tiles within graph distance 2 of the window boundary (tiles whose
     infinite-graph neighborhood is clipped by the window), as indices."""
     boundary = [n for n, nbs in enumerate(neighbors) if len(nbs) < 4]
-    layers = bfs_layers(boundary, neighbors.__getitem__)
+    layers = bfs_layers(boundary, lambda layer: {m for n in layer for m in neighbors[n]})
     return set().union(*islice(layers, 3))
 
 

@@ -1,6 +1,5 @@
 import math
 import sys
-from functools import partial
 from itertools import islice
 
 import pytest
@@ -235,7 +234,8 @@ def per_n_endpoint_rows(spec, patch, ns):
     dominant_lines succeeds, then, for every n on its own, walk n crossings
     out from the ball's extremes, one next_crossing_on_line step at a time
     (_crossing_at at n = 0)."""
-    layers = graph.bfs_layers(patch.crossings, partial(graph.neighbors, spec))
+    layers = graph.bfs_layers(patch.crossings,
+                              lambda layer: {nb for c in layer for nb in graph.neighbors(spec, c)})
     ball = frozenset()
     for layer in islice(layers, 65):
         ball |= layer
@@ -277,7 +277,8 @@ def test_endpoints_diagnostic_matches_per_n_walk(d, s, ball, ns):
     """One walk per dominant line and direction gives the rows of a fresh
     walk per n; where one refuses, so does the other, with the same type."""
     spec = certify.random_multigrid(d, s)
-    layers = graph.bfs_layers([mg.nearest_crossing(spec)], partial(graph.neighbors, spec))
+    layers = graph.bfs_layers([mg.nearest_crossing(spec)],
+                              lambda layer: {nb for c in layer for nb in graph.neighbors(spec, c)})
     patch = graph.Patch(frozenset().union(*islice(layers, ball + 1)))
     ns = [0, *ns, ns[0]]   # n = 0 and a repeated n in every example
     assert _rows_or_refusal(analysis.endpoints_diagnostic, spec, patch, ns) \

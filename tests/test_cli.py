@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from coronagrid import graph
 from coronagrid.cli import run
+from coronagrid.multigrid import frontier_neighbor_keys
 
 
 def test_charpoly_artifacts(tmp_path):
@@ -139,6 +141,27 @@ def test_window_over_the_crossing_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "more than 1000 crossings" in err and "CORONAGRID_MAX_CROSSINGS" in err
     assert not out.exists()
+
+
+def test_ball_over_the_crossing_cap_exits_2(tmp_path, capsys, monkeypatch):
+    """--ball grows under the crossing cap: the pentagrid ball passes 100
+    crossings at about layer 7, so a ball of 400 layers expands a handful,
+    then exits 2 with one line and no files."""
+    expanded = []
+
+    def counting(spec, layer):
+        expanded.append(len(layer))
+        return frontier_neighbor_keys(spec, layer)
+
+    monkeypatch.setattr(graph, "frontier_neighbor_keys", counting)
+    monkeypatch.setenv("CORONAGRID_MAX_CROSSINGS", "100")
+    out = tmp_path / "out"
+    assert run(["corona", "--dfold", "5", "--ball", "400", "--n", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "exceeded 100 crossings" in err and "CORONAGRID_MAX_CROSSINGS" in err
+    assert not out.exists()
+    assert 0 < len(expanded) <= 10 and sum(expanded) <= 100
 
 
 def test_corona_past_195_layers(tmp_path):

@@ -1,3 +1,4 @@
+import cmath
 import math
 from io import StringIO
 from random import Random
@@ -7,8 +8,9 @@ from hypothesis import assume, given, strategies as st
 
 from coronagrid import analysis, graph, io as cio, multigrid as mg
 from coronagrid.certify import random_multigrid
-from coronagrid.errors import ResourceLimit, Unreachable
-from coronagrid.multigrid import LineId
+from coronagrid.errors import CoronagridError, ResourceLimit, Unreachable
+from coronagrid.multigrid import LineId, MultigridSpec
+from specs import walk_specs
 
 
 def square_crossing(square, x, y):
@@ -198,6 +200,100 @@ def test_neighbor_keys_match_segment_listing(spec, data):
                 tm, got = mg.next_crossing_on_line(spec, line, start, direction)
                 assert got == want, (line, start, direction)
                 assert tm == pytest.approx(spec.line_parameter(line, want.point), abs=1e-9)
+
+
+# the frontier kernel -----------------------------------------------------------
+
+def expansion(expand, spec, layer):
+    """expand(spec, layer) as a set, or its refusal as (type, message)."""
+    try:
+        return set(expand(spec, layer))
+    except CoronagridError as exc:
+        return type(exc), str(exc)
+
+
+def per_crossing(spec, layer):
+    """Reference for frontier_neighbor_keys: neighbor_keys crossing by
+    crossing, in the layer's order."""
+    out = set()
+    for key in layer:
+        out.update(mg.neighbor_keys(spec, key))
+    return out
+
+
+@st.composite
+def seeded_specs(draw):
+    """random_multigrid(d, s) for d = 3..9, or a walk_specs draw (the square
+    grid, or drawn directions with a pair of grids 1e-7 to 1e-2 degrees apart
+    in half the draws), and a seed crossing of two grids that are not nearly
+    parallel, near the origin."""
+    if draw(st.booleans()):
+        spec = random_multigrid(draw(st.integers(3, 9)), draw(st.integers(0, 10**6)))
+    else:
+        spec = draw(walk_specs())
+    pairs = [(i, j) for i in range(spec.d) for j in range(i + 1, spec.d)
+             if abs(spec.cross(i, j)) > 1e-3]
+    assume(pairs)
+    i, j = draw(st.sampled_from(pairs))
+    return spec, (i, draw(st.integers(-2, 2)), j, draw(st.integers(-2, 2)))
+
+
+@given(spec_seed=seeded_specs())
+def test_frontier_neighbor_keys_match_neighbor_keys(spec_seed):
+    """Layer by layer up to n = 20, the one-pass kernel gives the union of
+    neighbor_keys over the layer, or the same refusal type and message."""
+    spec, seed = spec_seed
+    previous, layer = frozenset(), frozenset([seed])
+    for _ in range(20):
+        want = expansion(per_crossing, spec, layer)
+        assert expansion(mg.frontier_neighbor_keys, spec, layer) == want
+        if isinstance(want, tuple):
+            break
+        previous, layer = layer, frozenset(want - layer - previous)
+
+
+def third_line_near_origin(level):
+    """The square grid's origin crossing, with a 37 degree grid whose level
+    there is `level`."""
+    return MultigridSpec.from_angles([0, 90, 37], [0.0, 0.0, -level % 1.0]), [(0, 0, 1, 0)]
+
+
+def runner_up_beyond(beyond):
+    """On the line x = 0, from the 135 degree grid's crossing at y = 0.7, the
+    next crossing is y = 1, and a 45 degree grid's runner-up lies `beyond`
+    past it (as in test_line_crossings_near_a_crossing)."""
+    third, fourth = cmath.exp(1j * math.pi / 4), cmath.exp(3j * math.pi / 4)
+    spec = MultigridSpec((1, 1j, third, fourth),
+                         (0.0, 0.0, (1 + beyond) * third.imag, 0.7 * fourth.imag))
+    return spec, [(0, 0, 3, 0)]
+
+
+# Two grids about 5e-6 degrees apart: a third grid's line crosses their
+# lines near level 3.3e6, where rounding reaches the bands.
+NEARLY_PARALLEL = MultigridSpec(
+    ((-0.6539817824816839+0.7565102961507395j), (-0.653981856799548+0.7565102319050387j),
+     (0.9992509529297516+0.038697972414368766j), (0.7432626668246956+0.6689997071035544j),
+     (0.9996815617387241+0.025234403492563943j)),
+    (0.5, 0.9114091012299198, 0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("spec, layer", [
+    third_line_near_origin(1.5 * mg._SNAP), third_line_near_origin(-1.5 * mg._SNAP),
+    third_line_near_origin(0.5 * mg._SNAP), third_line_near_origin(-0.5 * mg._SNAP),
+    runner_up_beyond(1.5 * mg.EPS_SINGULAR), runner_up_beyond(0.7 * mg.EPS_SINGULAR),
+    # three lines meet at the origin only (test_endpoints_diagnostic_refuses_as_per_n_walk)
+    (MultigridSpec.from_angles([0, 90, 37], [0.0, 0.0, 0.0]), [(0, 0, 1, 0)]),
+    (MultigridSpec.from_angles([0, 90, 37], [0.0, 0.0, 0.0]), [(0, 0, 1, 6), (0, 0, 1, 1)]),
+    (NEARLY_PARALLEL, [(0, 0, 2, -3271797)]),
+], ids=["third+1.5snap", "third-1.5snap", "third+0.5snap", "third-0.5snap",
+        "runner-up-1.5eps", "runner-up-0.7eps", "triple-point", "beside-triple-point",
+        "rounding"])
+def test_frontier_neighbor_keys_hand_off_near_coincidences(spec, layer):
+    """Where a level lies near an integer, a runner-up near the nearest
+    crossing, or rounding near the bands, the kernel gives neighbor_keys'
+    result, refusal included."""
+    assert expansion(mg.frontier_neighbor_keys, spec, layer) \
+        == expansion(per_crossing, spec, layer)
 
 
 def test_frontier_growth_is_linear(pentagrid_run):

@@ -4,7 +4,7 @@ from itertools import islice
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coronagrid import analysis, graph, multigrid as mg
 from coronagrid.certify import random_multigrid
@@ -18,6 +18,7 @@ from coronagrid.errors import (
     ValidationError,
 )
 from coronagrid.multigrid import LineId, MultigridSpec
+from specs import walk_specs
 
 
 # spec construction ---------------------------------------------------------
@@ -391,26 +392,6 @@ def chunked_walk(spec, line, t, direction, steps):
     except CoronagridError as exc:
         out.append((type(exc), str(exc)))
     return out
-
-
-@st.composite
-def walk_specs(draw):
-    """The square grid or d = 2..7 drawn directions, optionally with a pair
-    of grids 1e-7 to 1e-2 degrees apart.  Offsets are all 0 (every k = 0
-    line passes through the origin), all 0.5, or each 0, 0.5 or drawn."""
-    angle = st.floats(0.0, 180.0, exclude_max=True)
-    angles = draw(st.one_of(st.just([0.0, 90.0]),
-                            *(st.lists(angle, min_size=d, max_size=d) for d in range(2, 8))))
-    if draw(st.booleans()):
-        pair = draw(st.integers(0, len(angles) - 2))
-        angles[pair + 1] = angles[pair] + draw(st.floats(1e-7, 1e-2))
-    offset = draw(st.sampled_from([st.just(0.0), st.just(0.5), st.one_of(
-        st.just(0.0), st.just(0.5), st.floats(0.0, 1.0, exclude_max=True))]))
-    offsets = draw(st.lists(offset, min_size=len(angles), max_size=len(angles)))
-    try:
-        return MultigridSpec.from_angles(angles, offsets)
-    except ValidationError:
-        assume(False)
 
 
 @settings(max_examples=300)
