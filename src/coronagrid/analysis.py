@@ -19,7 +19,7 @@ from itertools import islice
 from typing import Collection, Iterable, Literal, Sequence
 
 from . import geom
-from .dual import linear_dual, tile_corner_keys, vertex_position
+from .dual import corner_tables, linear_dual
 from .errors import GridNotRepresented, ValidationError
 from .geom import Polygon, from_convex_vertices, hull_chain, hull_chain_xy, perp
 from .graph import CoronaSequence, Patch, bfs_layers, corona_sequence
@@ -102,12 +102,10 @@ def shape_points(spec: MultigridSpec, keys: Collection[Key], side: Side) -> list
     """The point cloud a corona occupies, from its crossing keys: crossing
     points on the multigrid side, the distinct dual-tile corners on the
     tiling side."""
-    points = [crossing_point(spec, (i, ki), (j, kj)) for i, ki, j, kj in keys]
     if side == "multigrid":
-        return points
-    corners = {corner for key, point in zip(keys, points)
-               for corner in tile_corner_keys(spec, key, point)}
-    return [vertex_position(spec, key) for key in corners]
+        return [crossing_point(spec, (i, ki), (j, kj)) for i, ki, j, kj in keys]
+    _, _, positions = corner_tables(spec, keys)
+    return positions
 
 
 def normalized_shape(spec: MultigridSpec, crossings: Iterable[Crossing],

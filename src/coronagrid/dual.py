@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
+from typing import Iterable
 
 from .errors import OnGridLine, SingularMultigrid
 from .geom import EPS_GEOM, scalar_product
-from .multigrid import EPS_SINGULAR, Crossing, Key, MultigridSpec, enumerate_crossings
+from .multigrid import (EPS_SINGULAR, Crossing, Key, MultigridSpec, _point_xy,
+                        crossings_from_keys, window_keys)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,87 +87,118 @@ class Tile:
         return [frozenset((c[k].key, c[(k + 1) % 4].key)) for k in range(4)]
 
 
-def tile_corner_keys(
-    spec: MultigridSpec, key: Key, point: complex,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Corner keys of the rhombus dual to the crossing with this key and
-    point, in boundary order: base, base + e_i, base + e_i + e_j, base + e_j.
+def corner_tables(
+    spec: MultigridSpec, keys: Iterable[Key],
+) -> tuple[list[int], list[tuple[int, ...]], list[complex]]:
+    """The corners of the rhombi dual to the crossings with these keys, as
+    tables: ``corners[4n:4n + 4]`` index tile n's corners, in boundary order
+    (base, base + e_i, base + e_i + e_j, base + e_j), into the distinct
+    vertex keys, in order of first use, and their positions.
 
-    The four cells around the crossing share all grid levels except on the
+    The four cells around a crossing share all grid levels except on the
     crossing's own two lines, where they straddle the integer exactly at the
     line index; the base cell is the one on the negative side of both lines.
-    The other levels are MultigridSpec.level, read from the spec's per-grid
-    level table.  A third line passing within EPS_SINGULAR of the crossing
-    makes the cell assignment unreliable and raises SingularMultigrid.
+    Each crossing's point is solved once, as crossing_point solves it, and
+    each other grid's level there is read from the spec's per-grid level
+    table, as MultigridSpec.level reads it.  A vertex's position is
+    vertex_position of its key, computed once however many tiles share it.
+    A third line passing within EPS_SINGULAR of a crossing makes the cell
+    assignment unreliable and raises SingularMultigrid, at the first such
+    crossing in the order given.
     """
-    i, ki, j, kj = key
-    x, y = point.real, point.imag
+    levels, crosses = spec._levels, spec._crosses
     ceil = math.ceil
-    base = []
-    for l, (re, im, offset) in enumerate(spec._levels):
-        if l == i:
-            base.append(ki)
-        elif l == j:
-            base.append(kj)
-        else:
-            u = x * re + y * im - offset
-            if abs(u - round(u)) <= EPS_SINGULAR:
-                raise SingularMultigrid(f"a grid-{l} line passes through crossing {key}")
-            base.append(ceil(u))
-    corners = [tuple(base)]
-    base[i] += 1
-    corners.append(tuple(base))
-    base[j] += 1
-    corners.append(tuple(base))
-    base[i] -= 1
-    corners.append(tuple(base))
-    return tuple(corners)
+    pool: dict[tuple[int, ...], int] = {}   # vertex key -> its index
+    index = pool.setdefault
+    corners: list[int] = []
+    add = corners.append
+    for key in keys:
+        i, ki, j, kj = key
+        x, y = _point_xy(levels[i], ki, levels[j], kj, crosses[i][j])
+        base: list[int] = []
+        push = base.append
+        for l, (re, im, offset) in enumerate(levels):
+            if l == i:
+                push(ki)
+            elif l == j:
+                push(kj)
+            else:
+                u = x * re + y * im - offset
+                if abs(u - round(u)) <= EPS_SINGULAR:
+                    raise SingularMultigrid(f"a grid-{l} line passes through crossing {key}")
+                push(ceil(u))
+        add(index(tuple(base), len(pool)))
+        base[i] += 1
+        add(index(tuple(base), len(pool)))
+        base[j] += 1
+        add(index(tuple(base), len(pool)))
+        base[i] -= 1
+        add(index(tuple(base), len(pool)))
+    vertex_keys = list(pool)
+    normals = spec.normals
+    return corners, vertex_keys, [sum(map(mul, key, normals)) for key in vertex_keys]
 
 
 def tile_of_crossing(spec: MultigridSpec, crossing: Crossing) -> Tile:
-    """Build the rhombus dual to a crossing (corners as in tile_corner_keys)."""
-    corners = tuple(TilingVertex.from_key(spec, key)
-                    for key in tile_corner_keys(spec, crossing.key, crossing.point))
-    return Tile(crossing, corners)
+    """Build the rhombus dual to a crossing (corners as in corner_tables)."""
+    _, keys, positions = corner_tables(spec, [crossing.key])
+    return Tile(crossing, tuple(map(TilingVertex, keys, positions)))
 
 
 @dataclass
 class TilingWindow:
-    """All tiles dual to crossings within `radius` of the origin.
+    """All tiles dual to crossings within `radius` of the origin, as tables.
 
-    Immutable by convention once built.  The tile set is crossing-ball
-    shaped (selected by crossing position), matching the graph exploration,
-    so vertex positions may exceed the nominal radius by the linear-dual
-    stretch factor.
+    Tile n is dual to the crossing with key ``keys[n]``, in window_keys
+    order (that of enumerate_crossings); ``corners``, ``vertex_keys`` and
+    ``positions`` are corner_tables' tables for those keys.  The tile set is
+    crossing-ball shaped (selected by crossing position), matching the
+    graph exploration, so vertex positions may exceed the nominal radius by
+    the linear-dual stretch factor.  Immutable by convention once built.
+
+    ``crossings`` and ``tiles`` view the same tiles as objects, built on
+    first read; the writers and the sandpile adjacency read the tables.
     """
 
     spec: MultigridSpec
     radius: float
-    tiles: dict[Crossing, Tile]
+    keys: list[Key]
+    corners: list[int]
+    vertex_keys: list[tuple[int, ...]]
+    positions: list[complex]
 
     def __len__(self) -> int:
-        return len(self.tiles)
+        return len(self.keys)
 
+    @cached_property
+    def key_order(self) -> list[int]:
+        """Tile indices sorted by crossing key."""
+        return sorted(range(len(self.keys)), key=self.keys.__getitem__)
+
+    @cached_property
     def crossings(self) -> list[Crossing]:
-        return sorted(self.tiles, key=lambda c: c.key)
+        """The tiles' Crossings, in tile order."""
+        return next(crossings_from_keys(self.spec, [self.keys]))
+
+    @cached_property
+    def tiles(self) -> dict[Crossing, Tile]:
+        """Tile per crossing, in tile order; tiles share one TilingVertex per
+        vertex key."""
+        vertices = list(map(TilingVertex, self.vertex_keys, self.positions))
+        corners = [vertices[m] for m in self.corners]
+        return {c: Tile(c, tuple(corners[4 * n:4 * n + 4]))
+                for n, c in enumerate(self.crossings)}
 
 
 def tiling_window(spec: MultigridSpec, radius: float) -> TilingWindow:
-    """Extract the dual-tiling window over all crossings with |point| <= radius.
+    """The dual-tiling window over all crossings with |point| <= radius.
 
-    Vertices are deduplicated by key: each corner key is looked up in the
-    vertex pool first, so every vertex is built once and shared by the tiles
-    around it.  Raises SingularMultigrid if any crossing in the window has a
-    third line within EPS_SINGULAR.
+    The crossing keys come straight from the window's lines (window_keys),
+    and one corner_tables pass gives every tile's corners, so each vertex is
+    positioned once and no Crossing, Tile or TilingVertex is built.  Raises
+    ValidationError and ResourceLimit as window_keys does, and
+    SingularMultigrid if any crossing in the window has a third line within
+    EPS_SINGULAR.
     """
-    vertex_pool: dict[tuple[int, ...], TilingVertex] = {}
-    tiles: dict[Crossing, Tile] = {}
-    for c in enumerate_crossings(spec, radius):
-        corners = []
-        for key in tile_corner_keys(spec, c.key, c.point):
-            vertex = vertex_pool.get(key)
-            if vertex is None:
-                vertex = vertex_pool[key] = TilingVertex.from_key(spec, key)
-            corners.append(vertex)
-        tiles[c] = Tile(c, tuple(corners))
-    return TilingWindow(spec, radius, tiles)
+    keys = window_keys(spec, radius)
+    return TilingWindow(spec, radius, keys, *corner_tables(spec, keys))

@@ -101,7 +101,7 @@ class CoronaSequence:
 
     @cached_property
     def frontiers(self) -> tuple[frozenset[Crossing], ...]:
-        return tuple(crossings_from_keys(self.spec, self.layers))
+        return tuple(map(frozenset, crossings_from_keys(self.spec, self.layers)))
 
     def corona(self, n: int) -> frozenset[Crossing]:
         if not 0 <= n <= self.n_max:

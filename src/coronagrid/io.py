@@ -25,10 +25,10 @@ from functools import partial
 from typing import Iterable, Sequence, TextIO
 
 from .analysis import CharPolygon, ConvergenceRow, EndpointRow
-from .dual import TilingWindow, tile_of_crossing
+from .dual import TilingWindow, corner_tables
 from .errors import EmptyScene, ParseError, ValidationError
 from .graph import CoronaSequence
-from .multigrid import MultigridSpec, check_grid_count, fold_offset
+from .multigrid import Key, MultigridSpec, check_grid_count, fold_offset
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -291,19 +291,24 @@ def _layer_empty(layer: Layer) -> bool:
 
 # scene builders ------------------------------------------------------------
 
+def _corner_cycles(corners: list[int], positions: list[complex]) -> list[tuple[complex, ...]]:
+    """Per tile of corner_tables' tables, its four corner points in boundary order."""
+    points = [positions[m] for m in corners]
+    return [tuple(points[q:q + 4]) for q in range(0, len(points), 4)]
+
+
 def tiling_scene(window: TilingWindow) -> SceneSpec:
-    """Window tiles filled by crossing type (grid pair)."""
+    """Window tiles in crossing-key order, filled by crossing type (grid pair)."""
     spec = window.spec
-    pair_index = {}
+    fills = {}
     for i in range(spec.d):
         for j in range(i + 1, spec.d):
-            pair_index[(i, j)] = len(pair_index)
-    tiles = []
-    for c in window.crossings():
-        fill = TYPE_FILLS[pair_index[c.grids] % len(TYPE_FILLS)]
-        tiles.append((window.tiles[c].corner_points, fill))
+            fills[(i, j)] = TYPE_FILLS[len(fills) % len(TYPE_FILLS)]
+    keys = window.keys
+    cycles = _corner_cycles(window.corners, window.positions)
+    tiles = tuple((cycles[n], fills[keys[n][0], keys[n][2]]) for n in window.key_order)
     extent = window.radius * spec.d / 2 + 2.0
-    return SceneSpec(extent, (TilesLayer(tuple(tiles)),))
+    return SceneSpec(extent, (TilesLayer(tiles),))
 
 
 def corona_scene(
@@ -311,17 +316,18 @@ def corona_scene(
     seq: CoronaSequence,
     overlay: CharPolygon | None = None,
 ) -> SceneSpec:
-    """Corona tiles greyscaled by frontier index, opt. characteristic overlay
-    scaled by the corona count."""
+    """Corona tiles greyscaled by frontier index, each frontier in
+    crossing-key order, opt. characteristic overlay scaled by the corona
+    count.  The corners come from one corner_tables pass over all layers."""
     palette = greyscale_palette(seq.n_max + 1)
-    tiles = []
-    for n, frontier in enumerate(seq.frontiers):
-        for c in sorted(frontier, key=lambda c: c.key):
-            tiles.append((tile_of_crossing(spec, c).corner_points, palette[n]))
-    layers: list[Layer] = [TilesLayer(tuple(tiles))]
-    extent = 1.0
-    for corners, _ in tiles:
-        extent = max(extent, max(abs(p) for p in corners))
+    keys: list[Key] = []
+    fills: list[str] = []
+    for n, layer in enumerate(seq.layers):
+        keys += sorted(layer)
+        fills += [palette[n]] * len(layer)
+    corners, _, positions = corner_tables(spec, keys)
+    layers: list[Layer] = [TilesLayer(tuple(zip(_corner_cycles(corners, positions), fills)))]
+    extent = max([1.0, *map(abs, positions)])
     if overlay is not None:
         layers.append(PolygonLayer(tuple(overlay.scaled_vertices(seq.n_max))))
     return SceneSpec(extent * 1.05, tuple(layers))
@@ -364,24 +370,21 @@ def write_frontiers_csv(seq: CoronaSequence, fp: TextIO) -> None:
 
 
 def write_tiles_csv(window: TilingWindow, fp: TextIO) -> None:
-    """One record per tile: grid pair, line indices, corner keys and positions.
+    """One record per tile, in crossing-key order: grid pair, line indices,
+    corner keys and positions.
 
     Corners walk the rhombus boundary; keys are space-joined integers.
+    Each vertex's cells are formatted once, from the window's vertex table.
     """
     head = ["i", "j", "ki", "kj"]
     head += [f"key{q}" for q in range(4)]
     head += [x for q in range(4) for x in (f"x{q}", f"y{q}")]
     fp.write(",".join(head) + "\n")
-    # each vertex is shared by several tiles: format its cells once
-    key_cells: dict[tuple[int, ...], str] = {}
-    xy_cells: dict[tuple[int, ...], str] = {}
-    for tile in window.tiles.values():
-        for corner in tile.corners:
-            if corner.key not in key_cells:
-                key_cells[corner.key] = " ".join(map(str, corner.key))
-                xy_cells[corner.key] = f"{corner.position.real!r},{corner.position.imag!r}"
-    for c in window.crossings():
-        keys = [corner.key for corner in window.tiles[c].corners]
-        fp.write(",".join([str(c.a.grid), str(c.b.grid), str(c.a.k), str(c.b.k),
-                           *map(key_cells.__getitem__, keys),
-                           *map(xy_cells.__getitem__, keys)]) + "\n")
+    key_cells = [" ".join(map(str, key)) for key in window.vertex_keys]
+    xy_cells = [f"{p.real!r},{p.imag!r}" for p in window.positions]
+    keys, corners = window.keys, window.corners
+    for n in window.key_order:
+        i, ki, j, kj = keys[n]
+        a, b, c, e = corners[4 * n:4 * n + 4]
+        fp.write(f"{i},{j},{ki},{kj},{key_cells[a]},{key_cells[b]},{key_cells[c]},"
+                 f"{key_cells[e]},{xy_cells[a]},{xy_cells[b]},{xy_cells[c]},{xy_cells[e]}\n")

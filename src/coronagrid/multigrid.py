@@ -268,9 +268,9 @@ def make_crossing(spec: MultigridSpec, a: LineId, b: LineId) -> Crossing:
 
 def crossings_from_keys(
     spec: MultigridSpec, groups: Iterable[Iterable[Key]],
-) -> Iterator[frozenset[Crossing]]:
-    """Per group of keys, its Crossings as make_crossing builds them; all
-    crossings of a line, in any group, share one LineId."""
+) -> Iterator[list[Crossing]]:
+    """Per group of keys, its Crossings in key order, as make_crossing
+    builds them; all crossings of a line, in any group, share one LineId."""
     lines: dict[tuple[int, int], LineId] = {}
     for keys in groups:
         group = []
@@ -278,7 +278,7 @@ def crossings_from_keys(
             a = lines.get((i, ki)) or lines.setdefault((i, ki), LineId(i, ki))
             b = lines.get((j, kj)) or lines.setdefault((j, kj), LineId(j, kj))
             group.append(Crossing(a, b, crossing_point(spec, a, b)))
-        yield frozenset(group)
+        yield group
 
 
 def _levels_on_segment(
@@ -643,12 +643,14 @@ def _window_lines(spec: MultigridSpec, radius: float) -> list[_WindowLine]:
 
     Each crossing is listed on both of its lines; the window holds it when
     the line of its lower grid does.  Raises ValidationError for a
-    non-finite radius, and ResourceLimit when the disk's area times the
-    crossing density, pi r^2 sum_{i<j} |cross(i, j)|, exceeds
+    negative or non-finite radius, and ResourceLimit when the disk's area
+    times the crossing density, pi r^2 sum_{i<j} |cross(i, j)|, exceeds
     default_crossing_cap().
     """
     if not math.isfinite(radius):
         raise ValidationError(f"radius must be finite, got {radius}")
+    if radius < 0:
+        raise ValidationError(f"radius must be >= 0, got {radius}")
     cap = default_crossing_cap()
     d = spec.d
     density = sum(abs(spec._crosses[i][j]) for i in range(d) for j in range(i + 1, d))
@@ -667,15 +669,26 @@ def _window_lines(spec: MultigridSpec, radius: float) -> list[_WindowLine]:
     return out
 
 
-def enumerate_crossings(spec: MultigridSpec, radius: float) -> list[Crossing]:
-    """All crossings with |point| <= radius, each exactly once.
+def _chord_keys(lines: list[_WindowLine]) -> list[Key]:
+    """The keys of the window's crossings, each from the line of its lower grid."""
+    return [(i, k, j, m) for (i, k), chord in lines for j, ms, _, _ in chord if j > i for m in ms]
 
-    Raises ResourceLimit, before building any, when the disk would hold
+
+def window_keys(spec: MultigridSpec, radius: float) -> list[Key]:
+    """The keys of all crossings with |point| <= radius, each exactly once,
+    line by line.
+
+    Raises ResourceLimit, before listing any, when the disk would hold
     more than default_crossing_cap() (see _window_lines).
     """
-    return [make_crossing(spec, line, LineId(j, m))
-            for line, chord in _window_lines(spec, radius)
-            for j, ms, _, _ in chord if j > line.grid for m in ms]
+    return _chord_keys(_window_lines(spec, radius))
+
+
+def enumerate_crossings(spec: MultigridSpec, radius: float) -> list[Crossing]:
+    """All crossings with |point| <= radius, each exactly once, in
+    window_keys order."""
+    return [make_crossing(spec, LineId(i, ki), LineId(j, kj))
+            for i, ki, j, kj in window_keys(spec, radius)]
 
 
 @dataclass(frozen=True)
@@ -729,8 +742,7 @@ def check_regular(spec: MultigridSpec, window_radius: float) -> RegularityReport
         # near the circle, a line's own chord can hold a crossing with a
         # lower grid that the window leaves out; the window set drops it
         if window is None:
-            window = {(l.grid, l.k, j, m) for l, c in lines
-                      for j, ms, _, _ in c if j > l.grid for m in ms}
+            window = set(_chord_keys(lines))
         found = sorted(((m - base) / s, j, m) for j, ms, base, s in chord for m in ms
                        if ((i, k, j, m) if i < j else (j, m, i, k)) in window)
         run = found[:1]

@@ -31,28 +31,28 @@ def window_adjacency(window: TilingWindow) -> dict[Crossing, tuple[Crossing, ...
 
     Each crossing's parameter on both of its lines comes from its key in
     closed form, as in neighbor_keys.  Each window line's crossings are
-    sorted by parameter once, and consecutive ones are neighbors.  The
-    neighbors are the window's own Crossing objects, in neighbor_keys order:
+    sorted by parameter once, and consecutive ones are neighbors.  Runs on
+    the window's key table; the tiles and their neighbors are the window's
+    own Crossing objects (``window.crossings``), in neighbor_keys order:
     line a up, line a down, line b up, line b down.
     """
     spec = window.spec
     offsets, dots, crosses = spec.offsets, spec._dots, spec._crosses
-    tiles = list(window.tiles)
     # entry (t, slot): neighbor slots slot (up) and slot + 1 (down) of tile slot // 4
     on_line: dict[tuple[int, int], list[tuple[float, int]]] = {}
-    for n, c in enumerate(tiles):
-        i, ki, j, kj = c.key
+    for n, (i, ki, j, kj) in enumerate(window.keys):
         ri, rj = offsets[i] + ki, offsets[j] + kj
         ta = (kj - (ri * dots[i][j] - offsets[j])) / crosses[i][j]
         tb = (ki - (rj * dots[j][i] - offsets[i])) / crosses[j][i]
         on_line.setdefault((i, ki), []).append((ta, 4 * n))
         on_line.setdefault((j, kj), []).append((tb, 4 * n + 2))
-    slots: list[int | None] = [None] * (4 * len(tiles))
+    slots: list[int | None] = [None] * (4 * len(window))
     for entries in on_line.values():
         entries.sort()
         for (_, lo), (_, hi) in zip(entries, entries[1:]):
             slots[lo] = hi // 4
             slots[hi + 1] = lo // 4
+    tiles = window.crossings
     return {c: tuple(tiles[m] for m in slots[4 * n:4 * n + 4] if m is not None)
             for n, c in enumerate(tiles)}
 

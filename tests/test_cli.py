@@ -88,8 +88,9 @@ def test_validation_exits_2(tmp_path, capsys):
                  ["gen", "--angles", "0,90", "--offsets", "0.5,inf"],
                  ["converge", "--dfold", "5", "--n", "0"],
                  ["endpoints", "--dfold", "5", "--n", "-1"],
-                 # the window renders, then the viewport radius is refused
+                 # a negative radius is refused before any window is listed
                  ["gen", "--dfold", "5", "--radius", "-3"],
+                 ["sandpile", "--dfold", "5", "--radius", "-3"],
                  ["gen", "--dfold", "5", "--radius", "nan"],
                  ["sandpile", "--dfold", "5", "--radius", "inf"],
                  # more crossings than the cap, refused before enumerating

@@ -1,14 +1,18 @@
 import copy
 import math
 import pickle
+from io import StringIO
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
+from specs import walk_specs
 
 from coronagrid import dual, multigrid as mg
+from coronagrid import io as cio
 from coronagrid.certify import check_edge_to_edge, random_multigrid
-from coronagrid.errors import OnGridLine, SingularMultigrid
-from coronagrid.multigrid import LineId, MultigridSpec
+from coronagrid.errors import EmptyScene, OnGridLine, SingularMultigrid, ValidationError
+from coronagrid.multigrid import EPS_SINGULAR, LineId, MultigridSpec
 
 
 # dual vertex ---------------------------------------------------------------
@@ -213,3 +217,122 @@ def test_adjacent_tiles_share_edge_iff_consecutive(pentagrid):
                 assert len(shared) == 1
             else:
                 assert not shared
+
+
+# the table window against a per-crossing reference ---------------------------
+
+def reference_tiles(spec, radius):
+    """Per-crossing reference for tiling_window: enumerate_crossings, then
+    each crossing's corner keys from the levels at its point, then
+    vertex_position of each corner.  Per tile: (crossing, corner keys,
+    corner positions)."""
+    tiles = []
+    for c in mg.enumerate_crossings(spec, radius):
+        i, ki, j, kj = c.key
+        base = []
+        for l in range(spec.d):
+            if l in (i, j):
+                base.append(ki if l == i else kj)
+                continue
+            u = spec.level(l, c.point)
+            if abs(u - round(u)) <= EPS_SINGULAR:
+                raise SingularMultigrid(f"a grid-{l} line passes through crossing {c.key}")
+            base.append(math.ceil(u))
+        keys = []
+        for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1)):
+            corner = list(base)
+            corner[i] += di
+            corner[j] += dj
+            keys.append(tuple(corner))
+        tiles.append((c, tuple(keys), tuple(dual.vertex_position(spec, k) for k in keys)))
+    return tiles
+
+
+def reference_csv(tiles):
+    rows = ["i,j,ki,kj,key0,key1,key2,key3,x0,y0,x1,y1,x2,y2,x3,y3"]
+    for c, keys, points in sorted(tiles, key=lambda tile: tile[0].key):
+        i, ki, j, kj = c.key
+        rows.append(",".join([str(i), str(j), str(ki), str(kj),
+                              *(" ".join(map(str, key)) for key in keys),
+                              *(f"{p.real!r},{p.imag!r}" for p in points)]))
+    return "\n".join(rows) + "\n"
+
+
+def reference_svg(spec, radius, tiles):
+    pairs = [(i, j) for i in range(spec.d) for j in range(i + 1, spec.d)]
+    fills = cio.TYPE_FILLS
+    layer = cio.TilesLayer(tuple(
+        (points, fills[pairs.index(c.grids) % len(fills)])
+        for c, _, points in sorted(tiles, key=lambda tile: tile[0].key)))
+    return svg_outcome(cio.SceneSpec(radius * spec.d / 2 + 2.0, (layer,)))
+
+
+def svg_outcome(scene):
+    try:
+        return cio.render_svg(scene)
+    except EmptyScene as exc:
+        return str(exc)
+
+
+def bits(z):
+    """A complex number's exact bits: tells 0.0 from -0.0."""
+    return z.real.hex(), z.imag.hex()
+
+
+@st.composite
+def window_specs(draw):
+    """random_multigrid(d, s) for d = 3..9, or a walk_specs draw, and a
+    radius in [0, 8]."""
+    if draw(st.booleans()):
+        spec = random_multigrid(draw(st.integers(3, 9)), draw(st.integers(0, 10**6)))
+    else:
+        spec = draw(walk_specs())
+    return spec, draw(st.floats(0.0, 8.0))
+
+
+@given(spec_radius=window_specs())
+def test_table_window_matches_per_crossing_reference(spec_radius):
+    """The same tiles in the same order, with the same corner keys and
+    bit-equal points and positions, one TilingVertex per key, and the same
+    tiles.csv and tiling.svg bytes as the per-crossing reference; or the
+    same SingularMultigrid message."""
+    spec, radius = spec_radius
+    try:
+        want = reference_tiles(spec, radius)
+    except SingularMultigrid as exc:
+        with pytest.raises(SingularMultigrid) as got:
+            dual.tiling_window(spec, radius)
+        assert str(got.value) == str(exc)
+        return
+    window = dual.tiling_window(spec, radius)
+    assert [tile[0].key for tile in want] == window.keys
+    assert list(window.tiles) == [c for c, _, _ in want]
+    shared = {}
+    for (c, keys, points), (got, tile) in zip(want, window.tiles.items()):
+        assert tile.crossing is got and bits(got.point) == bits(c.point)
+        assert tuple(v.key for v in tile.corners) == keys
+        assert list(map(bits, tile.corner_points)) == list(map(bits, points))
+        for v in tile.corners:
+            assert shared.setdefault(v.key, v) is v
+    assert len(shared) == len(window.vertex_keys)
+    buf = StringIO()
+    cio.write_tiles_csv(window, buf)
+    assert buf.getvalue() == reference_csv(want)
+    assert svg_outcome(cio.tiling_scene(window)) == reference_svg(spec, radius, want)
+
+
+@pytest.mark.parametrize("spec", [
+    MultigridSpec.dfold(5, 0.0),                         # five lines through the origin
+    MultigridSpec.from_angles([0, 90, 10], [0, 0, 5e-8]),  # a third line 5e-8 off a crossing
+])
+def test_table_window_refuses_as_per_crossing_reference(spec):
+    with pytest.raises(SingularMultigrid) as want:
+        reference_tiles(spec, 3.0)
+    with pytest.raises(SingularMultigrid) as got:
+        dual.tiling_window(spec, 3.0)
+    assert str(got.value) == str(want.value)
+
+
+def test_negative_window_radius_is_refused(pentagrid):
+    with pytest.raises(ValidationError, match=r"radius must be >= 0, got -3\.0"):
+        dual.tiling_window(pentagrid, -3.0)
