@@ -112,9 +112,22 @@ class MultigridSpec:
     # per grid i: (normal_i.real, normal_i.imag, offset_i), the terms of level(i, z)
     _levels: tuple[tuple[float, float, float], ...] = field(
         init=False, repr=False, compare=False)
-    # per grid i: the largest (|offset_i + ki| + |offset_j + kj| + 1) / |cross(i, j)|
-    # at which frontier_neighbor_keys decides a crossing on an i-line itself
-    _trusted: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # The kernel tables of frontier_neighbor_keys, built by _kernel_tables on
+    # its first call (a spec that grows no layer never holds them):
+    # per grid i: (normal_l.real, normal_l.imag, offset_l, cross(i, l) > 0,
+    # |cross(i, l)|, l) for every other grid l, in grid order
+    _rows: tuple[tuple[tuple[float, float, float, bool, float, int], ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # per grid j, indexed by grid l: (cross(j, l) > 0, |cross(j, l)|)
+    _signs: tuple[tuple[tuple[bool, float], ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # per pair (i, j), i < j: (cross(i, j), _levels[i], _levels[j], the hand-off
+    # bound, the change of kj along +t on line a, 1 / |cross(i, j)|); the
+    # kernel decides a crossing itself only while |offset_i + ki| +
+    # |offset_j + kj| + 1 <= the bound, |cross(i, j)| times the smaller of
+    # the two grids' rounding limits (see _kernel_tables)
+    _pairs: dict[tuple[int, int], tuple] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normals = tuple(complex(z) for z in self.normals)
@@ -145,9 +158,30 @@ class MultigridSpec:
         object.__setattr__(self, "_steps", steps)
         object.__setattr__(self, "_levels", tuple((z.real, z.imag, g)
                                                   for z, g in zip(normals, offsets)))
-        object.__setattr__(self, "_trusted", tuple(
-            min(_SNAP, min(abs(s) for _, s, _, _ in row) * EPS_SINGULAR / 4) / _ROUNDING
-            for row in steps))
+
+    def _kernel_tables(self):
+        """(_rows, _signs, _pairs), built on the first call: d(d - 1), d * d and
+        d(d - 1) / 2 entries."""
+        if self._pairs is None:
+            d, levels, crosses = self.d, self._levels, self._crosses
+            signs = tuple(tuple((s > 0, abs(s)) for s in row) for row in crosses)
+            rows = tuple(tuple((*levels[l], *signs[i][l], l) for l in range(d) if l != i)
+                         for i in range(d))
+            # per grid: the largest (|offset_i + ki| + |offset_j + kj| + 1) /
+            # |cross(i, j)| at which the rounding of a level stays below _SNAP
+            # and, over the grid's smallest cross, below EPS_SINGULAR / 4
+            limits = [min(_SNAP, min(a for _, _, _, _, a, _ in row) * EPS_SINGULAR / 4)
+                      / _ROUNDING for row in rows]
+            pairs = {}
+            for i in range(d):
+                for j in range(i + 1, d):
+                    det = crosses[i][j]
+                    pairs[i, j] = (det, levels[i], levels[j], abs(det) * min(limits[i], limits[j]),
+                                   1 if det > 0 else -1, 1.0 / abs(det))
+            object.__setattr__(self, "_rows", rows)
+            object.__setattr__(self, "_signs", signs)
+            object.__setattr__(self, "_pairs", pairs)
+        return self._rows, self._signs, self._pairs
 
     @classmethod
     def dfold(cls, d: int, offsets: float | Sequence[float] = 0.5) -> "MultigridSpec":
@@ -453,41 +487,45 @@ def frontier_neighbor_keys(spec: MultigridSpec, layer: Iterable[Key]) -> set[Key
     cross(i, l)) and on line b (through cross(j, l)), and the partner grid's
     lines at 1/|cross(i, j)| in closed form.
 
+    Everything that depends on the spec alone comes from its kernel tables
+    (MultigridSpec._kernel_tables, built on the first call): per crossing,
+    one _pairs entry holds the solve's constants and the hand-off bound, and
+    per other grid l, grid i's _rows entry and grid j's _signs entry hold
+    l's level terms and the signs and sizes of cross(i, l) and cross(j, l).
+    A distance hi / |s| or lo / |s| is hi / s or lo / -s bit for bit, since
+    negation is exact, so the sign branches take line_steps' expressions.
+
     These differ from line_steps' values by rounding only, so neighbor_keys
     itself decides a crossing, and makes any refusal, wherever rounding
     could change a floor or an order: some u_l within 2 * _SNAP of an
     integer, a runner-up gap below 2 * EPS_SINGULAR, or levels whose
     rounding bound reaches _SNAP or, over the nearest grid's cross,
-    EPS_SINGULAR / 4 (far out, or on nearly parallel grids).  Crossings are
-    taken in iteration order, so a refusal is the one a loop of
-    neighbor_keys calls makes.
+    EPS_SINGULAR / 4 (far out, or on nearly parallel grids): the hand-off
+    bound of the crossing's _pairs entry.  Crossings are taken in iteration
+    order, so a refusal is the one a loop of neighbor_keys calls makes.
     """
     out: set[Key] = set()
     add = out.add
-    levels, crosses, trusted = spec._levels, spec._crosses, spec._trusted
+    rows, signs, pairs = spec._kernel_tables()
     floor = math.floor
     low, high, gap = 2 * _SNAP, 1.0 - 2 * _SNAP, 2 * EPS_SINGULAR
     for key in layer:
         i, ki, j, kj = key
-        det = crosses[i][j]
-        ax, ay, ga = levels[i]
-        bx, by, gb = levels[j]
+        det, (ax, ay, ga), (bx, by, gb), bound, step, spacing = pairs[i, j]
         ra, rb = ga + ki, gb + kj
-        lim = trusted[i] if trusted[i] < trusted[j] else trusted[j]
-        if abs(ra) + abs(rb) + 1.0 <= abs(det) * lim:
+        if abs(ra) + abs(rb) + 1.0 <= bound:
             x = (ra * by - rb * ay) / det
             y = (ax * rb - bx * ra) / det
-            row_a, row_b = crosses[i], crosses[j]
+            signs_b = signs[j]
             # per line (a, b) and direction (up, dn): the distance, grid and
             # level of the nearest crossing, the partner grid's until beaten,
             # and the runner-up's distance
-            step = 1 if det > 0 else -1   # the change of kj along +t on line a
-            a_up = a_dn = b_up = b_dn = 1.0 / abs(det)
+            a_up = a_dn = b_up = b_dn = spacing
             a_up2 = a_dn2 = b_up2 = b_dn2 = math.inf
             a_up_l, a_up_m, a_dn_l, a_dn_m = j, kj + step, j, kj - step
             b_up_l, b_up_m, b_dn_l, b_dn_m = i, ki - step, i, ki + step
-            for l, (nx, ny, g) in enumerate(levels):
-                if l == i or l == j:
+            for nx, ny, g, rising, s, l in rows[i]:
+                if l == j:
                     continue
                 u = x * nx + y * ny - g
                 f = floor(u)
@@ -495,26 +533,51 @@ def frontier_neighbor_keys(spec: MultigridSpec, layer: Iterable[Key]) -> set[Key
                 if lo < low or lo > high:
                     break
                 hi = 1.0 - lo
-                s = row_a[l]
-                up, dn = (hi / s, lo / s) if s > 0 else (lo / -s, hi / -s)
-                if up < a_up:
-                    a_up2, a_up, a_up_l, a_up_m = a_up, up, l, f + (s > 0)
-                elif up < a_up2:
-                    a_up2 = up
-                if dn < a_dn:
-                    a_dn2, a_dn, a_dn_l, a_dn_m = a_dn, dn, l, f + (s < 0)
-                elif dn < a_dn2:
-                    a_dn2 = dn
-                s = row_b[l]
-                up, dn = (hi / s, lo / s) if s > 0 else (lo / -s, hi / -s)
-                if up < b_up:
-                    b_up2, b_up, b_up_l, b_up_m = b_up, up, l, f + (s > 0)
-                elif up < b_up2:
-                    b_up2 = up
-                if dn < b_dn:
-                    b_dn2, b_dn, b_dn_l, b_dn_m = b_dn, dn, l, f + (s < 0)
-                elif dn < b_dn2:
-                    b_dn2 = dn
+                if rising:   # cross(i, l) > 0: level f + 1 lies up line a
+                    up = hi / s
+                    dn = lo / s
+                    if up < a_up:
+                        a_up2, a_up, a_up_l, a_up_m = a_up, up, l, f + 1
+                    elif up < a_up2:
+                        a_up2 = up
+                    if dn < a_dn:
+                        a_dn2, a_dn, a_dn_l, a_dn_m = a_dn, dn, l, f
+                    elif dn < a_dn2:
+                        a_dn2 = dn
+                else:
+                    up = lo / s
+                    dn = hi / s
+                    if up < a_up:
+                        a_up2, a_up, a_up_l, a_up_m = a_up, up, l, f
+                    elif up < a_up2:
+                        a_up2 = up
+                    if dn < a_dn:
+                        a_dn2, a_dn, a_dn_l, a_dn_m = a_dn, dn, l, f + 1
+                    elif dn < a_dn2:
+                        a_dn2 = dn
+                rising, s = signs_b[l]
+                if rising:
+                    up = hi / s
+                    dn = lo / s
+                    if up < b_up:
+                        b_up2, b_up, b_up_l, b_up_m = b_up, up, l, f + 1
+                    elif up < b_up2:
+                        b_up2 = up
+                    if dn < b_dn:
+                        b_dn2, b_dn, b_dn_l, b_dn_m = b_dn, dn, l, f
+                    elif dn < b_dn2:
+                        b_dn2 = dn
+                else:
+                    up = lo / s
+                    dn = hi / s
+                    if up < b_up:
+                        b_up2, b_up, b_up_l, b_up_m = b_up, up, l, f
+                    elif up < b_up2:
+                        b_up2 = up
+                    if dn < b_dn:
+                        b_dn2, b_dn, b_dn_l, b_dn_m = b_dn, dn, l, f + 1
+                    elif dn < b_dn2:
+                        b_dn2 = dn
             else:
                 if (a_up2 - a_up >= gap and a_dn2 - a_dn >= gap
                         and b_up2 - b_up >= gap and b_dn2 - b_dn >= gap):
@@ -787,14 +850,68 @@ def dominant_lines(spec: MultigridSpec, keys: Iterable[Key]) -> tuple[LineId, ..
 
 
 def nearest_crossing(spec: MultigridSpec) -> Crossing:
-    """The crossing nearest to the origin (used for canonical seed patches)."""
-    radius = 1.0
-    while radius < 1e6:
-        found = enumerate_crossings(spec, radius)
-        if found:
-            return min(found, key=lambda c: (abs(c.point), c.key))
-        radius *= 2
-    raise NotACrossing("no crossing within 1e6 of the origin")
+    """The crossing nearest to the origin (used for canonical seed patches),
+    the one with the smaller key among equally near ones.
+
+    Per grid pair, the crossings form a 2-D lattice (see _pair_block); the
+    answer is the least of all pairs' candidates by (abs(point), key), with
+    points as crossing_point gives them.  A candidate whose line (i, ki) or
+    (j, kj) lies farther from the origin than the nearest one seen is
+    passed over unsolved: the crossing is on both lines.  Raises
+    NotACrossing when the answer lies beyond 1e6.
+    """
+    levels, crosses, dots, offsets = spec._levels, spec._crosses, spec._dots, spec.offsets
+    best = bound = reach = math.inf
+    near: list[tuple[float, Key]] = []   # (x^2 + y^2, key) within rounding of the best
+    for i in range(spec.d):
+        for j in range(i + 1, spec.d):
+            det, g_i, g_j = crosses[i][j], offsets[i], offsets[j]
+            for ki, kj in _pair_block(dots[i][j], g_i, g_j):
+                if abs(g_i + ki) > reach or abs(g_j + kj) > reach:
+                    continue
+                x, y = _point_xy(levels[i], ki, levels[j], kj, det)
+                square = x * x + y * y
+                if square <= bound:
+                    if square < best:
+                        # squares below 1e-300 lose precision or underflow
+                        best, bound = square, square * (1 + 1e-12) + 1e-300
+                        # |point| >= |g_i + ki| / |normal_i|, normals are unit
+                        # to EPS_GEOM, and the solve's error is below 1e-6 of
+                        # |point| while |cross(i, j)| > EPS_GEOM
+                        reach = math.sqrt(bound) * (1 + 1e-6)
+                        near = [c for c in near if c[0] <= bound]
+                    near.append((square, (i, ki, j, kj)))
+    i, ki, j, kj = min((key for _, key in near),
+                       key=lambda key: (abs(crossing_point(spec, key[:2], key[2:])), key))
+    found = make_crossing(spec, LineId(i, ki), LineId(j, kj))
+    if abs(found.point) > 1e6:
+        raise NotACrossing("no crossing within 1e6 of the origin")
+    return found
+
+
+def _pair_block(c: float, g_i: float, g_j: float) -> list[tuple[int, int]]:
+    """The levels (ki, kj) of 25 crossings of two grids i and j with
+    c = dot(i, j) and offsets g_i, g_j, among them the one nearest to the
+    origin.
+
+    The crossing of (i, ki) and (j, kj) is A (g_i + ki, g_j + kj), for A
+    the inverse of the matrix of the two normals, at squared distance
+    Q(g_i + ki, g_j + kj) / cross(i, j)^2 with Q(p, q) = p^2 + q^2 - 2cpq:
+    the squared length of p e + q f for unit vectors e, f with e.f = -c.
+    So the lattice of integer (ki, kj) under Q has a closed-form
+    Lagrange-Gauss reduced basis: (1, 0) and (0, 1) while |c| <= 1/2, else
+    the shorter (1, sign(c)) and (1, 0).  The block is the 5 x 5 lattice
+    points around (-g_i, -g_j), rounded in that basis; for a reduced
+    basis the nearest lattice point lies within one step of the rounded
+    one.  The basis is integer, so nearly parallel grids lose nothing to
+    rounding here.
+    """
+    (u0, u1), (v0, v1) = ((1, 1 if c > 0 else -1), (1, 0)) if abs(c) > 0.5 else ((1, 0), (0, 1))
+    unimodular = u0 * v1 - u1 * v0   # +-1
+    a = round((g_j * v0 - g_i * v1) / unimodular)
+    b = round((g_i * u1 - g_j * u0) / unimodular)
+    return [(da * u0 + db * v0, da * u1 + db * v1)
+            for da in range(a - 2, a + 3) for db in range(b - 2, b + 3)]
 
 
 def adjacent_direction_pairs(spec: MultigridSpec) -> list[tuple[int, int]]:

@@ -7,6 +7,11 @@ from coronagrid import MultigridSpec, Patch, corona_sequence, nearest_crossing
 settings.register_profile("coronagrid", max_examples=40, deadline=None,
                           derandomize=True, database=None)
 settings.load_profile("coronagrid")
+# A long run by hand: `pytest --hypothesis-profile coronagrid-deep` draws
+# 3,000 fresh random examples per property test (the flag overrides the
+# load_profile above).
+settings.register_profile("coronagrid-deep", max_examples=3000, deadline=None,
+                          derandomize=False, database=None)
 
 
 @pytest.fixture(scope="session")

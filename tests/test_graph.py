@@ -296,6 +296,50 @@ def test_frontier_neighbor_keys_hand_off_near_coincidences(spec, layer):
         == expansion(per_crossing, spec, layer)
 
 
+@pytest.mark.parametrize("angle, signs", [(130, (1, 1)), (40, (1, -1)),
+                                          (220, (-1, 1)), (310, (-1, -1))],
+                         ids=["++", "+-", "-+", "--"])
+def test_frontier_neighbor_keys_sign_branches(monkeypatch, angle, signs):
+    """The square grid's origin crossing and a third grid whose level there
+    is -0.2 and whose cross with each grid lies between 0.2 and 0.8: on
+    each line, the third grid's next line is the nearest crossing one way
+    (0.2 off in level) and the partner grid's the other way (0.8 off).  The
+    four angles give the four sign combinations of (cross(0, 2),
+    cross(1, 2)), and the kernel decides each itself, with neighbor_keys'
+    result."""
+    spec = MultigridSpec.from_angles([0, 90, angle], [0.0, 0.0, 0.2])
+    assert (math.copysign(1, spec.cross(0, 2)), math.copysign(1, spec.cross(1, 2))) == signs
+    assert all(0.2 < abs(spec.cross(g, 2)) < 0.8 for g in (0, 1))
+    layer = [(0, 0, 1, 0)]
+    want = per_crossing(spec, layer)
+    assert sorted(j == 2 for _, _, j, _ in want) == [False, False, True, True]
+
+    def no_hand_off(spec, key):
+        raise AssertionError(f"handed {key} to neighbor_keys")
+
+    monkeypatch.setattr(mg, "neighbor_keys", no_hand_off)
+    assert mg.frontier_neighbor_keys(spec, layer) == want
+
+
+@pytest.mark.parametrize("key, handed_off", [((0, 2, 1, 3), False), ((0, 8, 1, 8), True)])
+def test_frontier_neighbor_keys_hand_off_bound(monkeypatch, key, handed_off):
+    """Grid 2 lies 1e-4 degrees off grid 0, so the kernel trusts its own
+    levels at a crossing of grids 0 and 1 only while |offset_0 + k0| +
+    |offset_1 + k1| + 1 stays below about 12.3, the smaller of the two
+    grids' bounds, and hands a crossing beyond that to neighbor_keys."""
+    spec = MultigridSpec.from_angles([0, 90, 1e-4], 0.25)
+    want = per_crossing(spec, [key])
+    handed = []
+
+    def counting(spec, key, neighbor_keys=mg.neighbor_keys):
+        handed.append(key)
+        return neighbor_keys(spec, key)
+
+    monkeypatch.setattr(mg, "neighbor_keys", counting)
+    assert mg.frontier_neighbor_keys(spec, [key]) == want
+    assert handed == ([key] if handed_off else [])
+
+
 def test_frontier_growth_is_linear(pentagrid_run):
     f40 = len(pentagrid_run.frontiers[40])
     f80 = len(pentagrid_run.frontiers[80])

@@ -4,13 +4,14 @@ from itertools import islice
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coronagrid import analysis, graph, multigrid as mg
 from coronagrid.certify import random_multigrid
 from coronagrid.errors import (
     CoronagridError,
     GridNotRepresented,
+    NotACrossing,
     ParallelLines,
     ResourceLimit,
     SameGrid,
@@ -516,3 +517,67 @@ def test_nearest_crossing_is_nearest(pentagrid):
     c = mg.nearest_crossing(pentagrid)
     all_near = mg.enumerate_crossings(pentagrid, 2.0)
     assert abs(c.point) == min(abs(x.point) for x in all_near)
+
+
+def window_nearest(spec, limit=1e6):
+    """Reference for nearest_crossing: the nearest crossing of the first
+    nonempty window of radius 1, 2, 4, ... below `limit`, and the keys of
+    that window."""
+    radius = 1.0
+    while radius < limit:
+        found = mg.enumerate_crossings(spec, radius)
+        if found:
+            return min(found, key=lambda c: (abs(c.point), c.key)), {c.key for c in found}
+        radius *= 2
+    raise NotACrossing("no crossing within 1e6 of the origin")
+
+
+@given(spec=st.builds(random_multigrid, st.integers(3, 9), st.integers(0, 10**6))
+       | walk_specs())
+# the squares of both nearest points underflow to 0; the pair (1, 2) comes last
+@example(spec=MultigridSpec.from_angles([0, 1, 2], [0.0, 1e-290, 1e-290]))
+def test_nearest_crossing_matches_window_search(spec):
+    """The window search's crossing, point included, wherever that finds
+    one within 64 and its window lists the answer; beyond 128, or refused
+    beyond 1e6, the search finds none within 128.
+
+    A window can miss a crossing of two nearly parallel grids whose level
+    changes by less than _SNAP along a chord; the answer is then nearer."""
+    try:
+        distance = abs((got := mg.nearest_crossing(spec)).point)
+    except NotACrossing:
+        distance = math.inf
+    if distance <= 64:
+        want, listed = window_nearest(spec)
+        if got.key in listed:
+            assert (got, got.point) == (want, want.point)
+        else:
+            assert (distance, got.key) < (abs(want.point), want.key)
+    elif distance > 128:
+        with pytest.raises(NotACrossing):
+            window_nearest(spec, limit=256)
+
+
+def test_nearest_crossing_of_nearly_parallel_grids(monkeypatch):
+    """Two grids 1e-3 degrees apart first cross about 22,900 out; a window
+    search lists every line of a disk of radius 32,768 to get there, the
+    lattice none."""
+    monkeypatch.setattr(mg, "_window_lines", None)
+    c = mg.nearest_crossing(MultigridSpec.from_angles([0, 1e-3], [0.5, 0.9]))
+    assert c.key == (0, -1, 1, -1)
+    assert 22_900 < abs(c.point) < 22_950
+    with pytest.raises(NotACrossing, match="no crossing within 1e6 of the origin"):
+        mg.nearest_crossing(MultigridSpec.from_angles([0, 1e-5], [0.5, 0.9]))
+
+
+def test_kernel_tables_are_built_on_the_first_kernel_call():
+    """No kernel table at construction; after one kernel call, d(d - 1) row
+    entries, d * d sign entries and d(d - 1) / 2 pair entries, not a row
+    per pair (d = 255 would make that 16.5M entries)."""
+    spec = MultigridSpec.dfold(255)
+    d = spec.d
+    assert (spec._rows, spec._signs, spec._pairs) == (None, None, None)
+    mg.frontier_neighbor_keys(spec, [mg.nearest_crossing(spec).key])
+    assert sum(map(len, spec._rows)) == d * (d - 1)
+    assert sum(map(len, spec._signs)) == d * d
+    assert len(spec._pairs) == d * (d - 1) // 2
