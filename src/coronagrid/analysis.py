@@ -178,19 +178,21 @@ def grow_until_dominant(
     line through them, then choose dominant lines.  Returns (keys, lines, steps).
 
     Raises GridNotRepresented, naming the grids still missing, after
-    _dominant_steps(d) steps.
+    _dominant_steps(d) steps.  The grids met so far are tracked layer by
+    layer, so each key is read once before the lines are chosen.
     """
     layers = bfs_layers((c.key for c in patch.crossings),
                         partial(frontier_neighbor_keys, spec))
-    ball: frozenset[Key] = frozenset()
-    missing = GridNotRepresented(tuple(range(spec.d)))
+    ball: set[Key] = set()
+    seen: set[int] = set()
     for steps, layer in enumerate(islice(layers, _dominant_steps(spec.d) + 1)):
         ball |= layer
-        try:
-            return ball, dominant_lines(spec, ball), steps
-        except GridNotRepresented as exc:
-            missing = exc
-    raise missing
+        for i, _, j, _ in layer:
+            seen.add(i)
+            seen.add(j)
+        if len(seen) == spec.d:
+            return frozenset(ball), dominant_lines(spec, ball), steps
+    raise GridNotRepresented(tuple(g for g in range(spec.d) if g not in seen))
 
 
 @dataclass(frozen=True)
@@ -219,11 +221,15 @@ def endpoints_diagnostic(
     if not ns or ns[0] < 0:
         raise ValidationError("ns must be nonempty with n >= 0")
     ball, lines, _ = grow_until_dominant(spec, patch)
+    on_line: dict[tuple[int, int], list[Key]] = {line: [] for line in lines}
+    for key in ball:
+        for line in (key[:2], key[2:]):
+            if line in on_line:
+                on_line[line].append(key)
     wanted = set(ns)
     walks = []   # per dominant line and direction, the point at each n in ns
     for line in lines:
-        by_t = sorted((crossing_point(spec, (i, ki), (j, kj))
-                       for i, ki, j, kj in ball if line in ((i, ki), (j, kj))),
+        by_t = sorted((crossing_point(spec, (i, ki), (j, kj)) for i, ki, j, kj in on_line[line]),
                       key=partial(spec.line_parameter, line))
         for start, direction in ((by_t[-1], +1), (by_t[0], -1)):
             steps = line_crossings(spec, line, spec.line_parameter(line, start), direction)

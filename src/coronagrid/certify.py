@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from random import Random
 from typing import Callable
 
 from . import analysis, geom, graph, sandpile
-from .dual import dual_vertex, linear_dual, tiling_window
+from .dual import corner_cycles, dual_vertex, linear_dual, tiling_window
 from .errors import OnGridLine
 from .geom import perp, scalar_product
 from .multigrid import (
@@ -26,6 +27,7 @@ from .multigrid import (
     adjacent_direction_pairs,
     check_regular,
     count_crossings_with_grid,
+    crossing_pairs,
     crossings_on_segment,
     make_crossing,
     nearest_crossing,
@@ -197,48 +199,50 @@ def check_edge_to_edge(spec: MultigridSpec, radius: float) -> str:
     window rim where partners of a tile may fall outside the window.
     """
     window = tiling_window(spec, radius)
-    for c, tile in window.tiles.items():
-        pts = tile.corner_points
+    keys = window.keys
+    cycles = corner_cycles(window.corners, window.positions)
+    for key, pts in zip(keys, cycles):
         for k in range(4):
             edge = pts[(k + 1) % 4] - pts[k]
             assert abs(abs(edge) - 1.0) < 1e-9, \
-                f"tile {c.key} edge length {abs(edge)} != 1"
+                f"tile {key} edge length {abs(edge)} != 1"
 
-    centers: dict[tuple[int, int], list[Crossing]] = {}
-    for c, tile in window.tiles.items():
-        mid = sum(tile.corner_points) / 4
+    centers: dict[tuple[int, int], list[int]] = {}
+    for n, pts in enumerate(cycles):
+        mid = sum(pts) / 4
         centers.setdefault((math.floor(mid.real / 2), math.floor(mid.imag / 2)),
-                           []).append(c)
+                           []).append(n)
     pairs_checked = 0
     for (cx, cy), members in centers.items():
         neighborhood = []
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 neighborhood.extend(centers.get((cx + dx, cy + dy), ()))
-        for c1 in members:
-            p1 = window.tiles[c1].corner_points
+        for n1 in members:
+            p1 = cycles[n1]
             m1 = sum(p1) / 4
-            for c2 in neighborhood:
-                if c2.key <= c1.key:
+            for n2 in neighborhood:
+                if keys[n2] <= keys[n1]:
                     continue
-                p2 = window.tiles[c2].corner_points
+                p2 = cycles[n2]
                 if abs(m1 - sum(p2) / 4) > 2.0:
                     continue
                 pairs_checked += 1
                 assert not _interiors_overlap(p1, p2), \
-                    f"tiles {c1.key} and {c2.key} overlap"
+                    f"tiles {keys[n1]} and {keys[n2]} overlap"
 
-    edge_count: dict[frozenset, int] = {}
-    for tile in window.tiles.values():
-        for ek in tile.edge_keys():
-            edge_count[ek] = edge_count.get(ek, 0) + 1
+    # edges as pairs of vertex indices: the vertex table holds each key once
+    corners = window.corners
+    edges = [frozenset((corners[q + k], corners[q + (k + 1) % 4]))
+             for q in range(0, len(corners), 4) for k in range(4)]
+    edge_count = Counter(edges)
     assert max(edge_count.values()) <= 2, "an edge is claimed by 3+ tiles"
     margin = 2.0
-    for c, tile in window.tiles.items():
-        if abs(c.point) <= radius - margin:
-            for ek in tile.edge_keys():
-                assert edge_count[ek] == 2, \
-                    f"interior edge of tile {c.key} shared {edge_count[ek]} times"
+    for n, (x, y) in enumerate(crossing_pairs(spec, keys)):
+        if abs(complex(x, y)) <= radius - margin:
+            for edge in edges[4 * n:4 * n + 4]:
+                assert edge_count[edge] == 2, \
+                    f"interior edge of tile {keys[n]} shared {edge_count[edge]} times"
     return (f"{len(window)} tiles: unit rhombi, {pairs_checked} near pairs "
             f"disjoint, interior edges all shared by 2")
 

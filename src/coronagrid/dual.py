@@ -81,11 +81,6 @@ class Tile:
     def corner_points(self) -> tuple[complex, complex, complex, complex]:
         return tuple(v.position for v in self.corners)
 
-    def edge_keys(self) -> list[frozenset]:
-        """The 4 boundary edges as unordered pairs of corner keys."""
-        c = self.corners
-        return [frozenset((c[k].key, c[(k + 1) % 4].key)) for k in range(4)]
-
 
 def corner_tables(
     spec: MultigridSpec, keys: Iterable[Key],
@@ -139,6 +134,12 @@ def corner_tables(
     return corners, vertex_keys, [sum(map(mul, key, normals)) for key in vertex_keys]
 
 
+def corner_cycles(corners: list[int], positions: list[complex]) -> list[tuple[complex, ...]]:
+    """Per tile of corner_tables' tables, its four corner points in boundary order."""
+    points = [positions[m] for m in corners]
+    return [tuple(points[q:q + 4]) for q in range(0, len(points), 4)]
+
+
 def tile_of_crossing(spec: MultigridSpec, crossing: Crossing) -> Tile:
     """Build the rhombus dual to a crossing (corners as in corner_tables)."""
     _, keys, positions = corner_tables(spec, [crossing.key])
@@ -156,8 +157,8 @@ class TilingWindow:
     graph exploration, so vertex positions may exceed the nominal radius by
     the linear-dual stretch factor.  Immutable by convention once built.
 
-    ``crossings`` and ``tiles`` view the same tiles as objects, built on
-    first read; the writers and the sandpile adjacency read the tables.
+    The writers, the sandpile and the edge-to-edge audit read the tables;
+    ``crossings`` views the tiles' crossings as objects, built on first read.
     """
 
     spec: MultigridSpec
@@ -179,15 +180,6 @@ class TilingWindow:
     def crossings(self) -> list[Crossing]:
         """The tiles' Crossings, in tile order."""
         return next(crossings_from_keys(self.spec, [self.keys]))
-
-    @cached_property
-    def tiles(self) -> dict[Crossing, Tile]:
-        """Tile per crossing, in tile order; tiles share one TilingVertex per
-        vertex key."""
-        vertices = list(map(TilingVertex, self.vertex_keys, self.positions))
-        corners = [vertices[m] for m in self.corners]
-        return {c: Tile(c, tuple(corners[4 * n:4 * n + 4]))
-                for n, c in enumerate(self.crossings)}
 
 
 def tiling_window(spec: MultigridSpec, radius: float) -> TilingWindow:

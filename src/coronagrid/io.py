@@ -25,7 +25,7 @@ from functools import partial
 from typing import Iterable, Sequence, TextIO
 
 from .analysis import CharPolygon, ConvergenceRow, EndpointRow
-from .dual import TilingWindow, corner_tables
+from .dual import TilingWindow, corner_cycles, corner_tables
 from .errors import EmptyScene, ParseError, ValidationError
 from .graph import CoronaSequence
 from .multigrid import Key, MultigridSpec, check_grid_count, fold_offset
@@ -291,12 +291,6 @@ def _layer_empty(layer: Layer) -> bool:
 
 # scene builders ------------------------------------------------------------
 
-def _corner_cycles(corners: list[int], positions: list[complex]) -> list[tuple[complex, ...]]:
-    """Per tile of corner_tables' tables, its four corner points in boundary order."""
-    points = [positions[m] for m in corners]
-    return [tuple(points[q:q + 4]) for q in range(0, len(points), 4)]
-
-
 def tiling_scene(window: TilingWindow) -> SceneSpec:
     """Window tiles in crossing-key order, filled by crossing type (grid pair)."""
     spec = window.spec
@@ -305,7 +299,7 @@ def tiling_scene(window: TilingWindow) -> SceneSpec:
         for j in range(i + 1, spec.d):
             fills[(i, j)] = TYPE_FILLS[len(fills) % len(TYPE_FILLS)]
     keys = window.keys
-    cycles = _corner_cycles(window.corners, window.positions)
+    cycles = corner_cycles(window.corners, window.positions)
     tiles = tuple((cycles[n], fills[keys[n][0], keys[n][2]]) for n in window.key_order)
     extent = window.radius * spec.d / 2 + 2.0
     return SceneSpec(extent, (TilesLayer(tiles),))
@@ -326,7 +320,7 @@ def corona_scene(
         keys += sorted(layer)
         fills += [palette[n]] * len(layer)
     corners, _, positions = corner_tables(spec, keys)
-    layers: list[Layer] = [TilesLayer(tuple(zip(_corner_cycles(corners, positions), fills)))]
+    layers: list[Layer] = [TilesLayer(tuple(zip(corner_cycles(corners, positions), fills)))]
     extent = max([1.0, *map(abs, positions)])
     if overlay is not None:
         layers.append(PolygonLayer(tuple(overlay.scaled_vertices(seq.n_max))))

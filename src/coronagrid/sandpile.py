@@ -11,6 +11,10 @@ Degrees are window degrees (in-window neighbors).  Certified runs never let
 the avalanche within graph distance 2 of the window boundary (enforced by
 BoundaryContamination), so only degree-4 tiles ever topple and grain count
 is exactly conserved.
+
+The state is held on tile indices, in the window's tile order: neighbor
+lists, grain counts and first-toppling rounds.  Crossings are read from the
+window only where a toppled set is handed out.
 """
 
 from __future__ import annotations
@@ -25,16 +29,15 @@ from .graph import bfs_layers
 from .multigrid import Crossing
 
 
-def window_adjacency(window: TilingWindow) -> dict[Crossing, tuple[Crossing, ...]]:
+def window_adjacency(window: TilingWindow) -> list[tuple[int, ...]]:
     """In-window tile adjacency: two tiles share an edge iff their crossings
     are consecutive on a common line.
 
     Each crossing's parameter on both of its lines comes from its key in
     closed form, as in neighbor_keys.  Each window line's crossings are
-    sorted by parameter once, and consecutive ones are neighbors.  Runs on
-    the window's key table; the tiles and their neighbors are the window's
-    own Crossing objects (``window.crossings``), in neighbor_keys order:
-    line a up, line a down, line b up, line b down.
+    sorted by parameter once, and consecutive ones are neighbors.  Entry n
+    holds tile n's neighbors as tile indices, in neighbor_keys order: line a
+    up, line a down, line b up, line b down.
     """
     spec = window.spec
     offsets, dots, crosses = spec.offsets, spec._dots, spec._crosses
@@ -52,36 +55,33 @@ def window_adjacency(window: TilingWindow) -> dict[Crossing, tuple[Crossing, ...
         for (_, lo), (_, hi) in zip(entries, entries[1:]):
             slots[lo] = hi // 4
             slots[hi + 1] = lo // 4
-    tiles = window.crossings
-    return {c: tuple(tiles[m] for m in slots[4 * n:4 * n + 4] if m is not None)
-            for n, c in enumerate(tiles)}
+    return [tuple(m for m in slots[q:q + 4] if m is not None)
+            for q in range(0, len(slots), 4)]
 
 
 @dataclass
 class SandpileConfig:
-    """Grain state over a window plus the first-toppling round per tile."""
+    """Grain state over a window plus the first-toppling round per tile,
+    every field indexed by tile position in window order."""
 
     window: TilingWindow
-    adjacency: dict[Crossing, tuple[Crossing, ...]]
-    grains: dict[Crossing, int]
-    toppled_rounds: dict[Crossing, int]
-
-    def degree(self, c: Crossing) -> int:
-        return len(self.adjacency[c])
+    neighbors: list[tuple[int, ...]]
+    grains: list[int]
+    toppled_rounds: dict[int, int]
 
     def total_grains(self) -> int:
-        return sum(self.grains.values())
+        return sum(self.grains)
 
     def toppled_by(self, round_n: int) -> frozenset[Crossing]:
-        return frozenset(c for c, r in self.toppled_rounds.items() if r <= round_n)
+        crossings = self.window.crossings
+        return frozenset(crossings[n] for n, r in self.toppled_rounds.items() if r <= round_n)
 
 
 def max_stable(window: TilingWindow) -> SandpileConfig:
     """Every tile at (degree - 1) grains: 3 in the interior, fewer on the
     window boundary.  One more grain anywhere starts an avalanche."""
-    adjacency = window_adjacency(window)
-    grains = {c: max(len(nbs) - 1, 0) for c, nbs in adjacency.items()}
-    return SandpileConfig(window, adjacency, grains, {})
+    neighbors = window_adjacency(window)
+    return SandpileConfig(window, neighbors, [max(len(nbs) - 1, 0) for nbs in neighbors], {})
 
 
 def _boundary_halo(neighbors: list[tuple[int, ...]]) -> set[int]:
@@ -102,23 +102,22 @@ def add_grain_and_topple(
     graph distance 2 of the window boundary, because from then on the finite
     window no longer emulates the infinite tiling.
 
-    Runs on tile indices in ``config.grains`` order.  Round 1 scans every
-    tile; after that only the previous round's topplers and their neighbors
-    can have become unstable (every other tile neither gained nor lost
-    grains), so each round scans just those, in window order.
+    Round 1 scans every tile; after that only the previous round's topplers
+    and their neighbors can have become unstable (every other tile neither
+    gained nor lost grains), so each round scans just those, in window order.
     """
-    if at not in config.grains:
-        raise ValidationError(f"tile {at.key} is not in the window")
-    if config.degree(at) < 4:
+    keys, neighbors = config.window.keys, config.neighbors
+    try:
+        start = keys.index(at.key)
+    except ValueError:
+        raise ValidationError(f"tile {at.key} is not in the window") from None
+    if len(neighbors[start]) < 4:
         raise ValidationError(f"tile {at.key} is on the window boundary")
-    tiles = list(config.grains)
-    index = {c: n for n, c in enumerate(tiles)}
-    neighbors = [tuple(index[nb] for nb in config.adjacency[c]) for c in tiles]
-    grains = list(config.grains.values())
-    grains[index[at]] += 1
-    first_rounds: dict[int, int] = {}
+    grains = list(config.grains)
+    grains[start] += 1
+    toppled_rounds = dict(config.toppled_rounds)
     halo = _boundary_halo(neighbors)
-    candidates: Iterable[int] = range(len(tiles))
+    candidates: Iterable[int] = range(len(keys))
     for round_n in range(1, rounds + 1):
         # degree-0 tiles (clipped window corners) are inert, not avalanching
         topplers = [n for n in candidates if 0 < len(neighbors[n]) <= grains[n]]
@@ -128,7 +127,7 @@ def add_grain_and_topple(
         if contaminated:
             raise BoundaryContamination(
                 f"round {round_n}: avalanche reached within distance 2 of the "
-                f"window boundary at {tiles[min(contaminated)].key}; grow the window")
+                f"window boundary at {keys[min(contaminated)]}; grow the window")
         active = set(topplers)
         for n in topplers:
             nbs = neighbors[n]
@@ -136,10 +135,6 @@ def add_grain_and_topple(
             for m in nbs:
                 grains[m] += 1
             active.update(nbs)
-            first_rounds.setdefault(n, round_n)
+            toppled_rounds.setdefault(n, round_n)
         candidates = sorted(active)
-    toppled_rounds = dict(config.toppled_rounds)
-    for n, round_n in first_rounds.items():
-        toppled_rounds.setdefault(tiles[n], round_n)
-    return SandpileConfig(config.window, config.adjacency,
-                          dict(zip(tiles, grains)), toppled_rounds)
+    return SandpileConfig(config.window, neighbors, grains, toppled_rounds)

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import settings
 
-from coronagrid import MultigridSpec, Patch, corona_sequence, nearest_crossing
+from coronagrid import MultigridSpec, Patch, Tile, TilingVertex, corona_sequence, nearest_crossing
+from coronagrid.multigrid import Crossing
 
 # Every property test: a fixed, replayable example sequence and no deadline.
 settings.register_profile("coronagrid", max_examples=40, deadline=None,
@@ -29,3 +32,18 @@ def pentagrid_run(pentagrid):
     """Single-tile corona run to n=80, shared by the slower analysis tests."""
     seed = Patch(frozenset([nearest_crossing(pentagrid)]))
     return corona_sequence(pentagrid, seed, 80)
+
+
+@pytest.fixture
+def count_constructions(monkeypatch):
+    """Call it to start counting, by class name, the Crossings, Tiles and
+    TilingVertexes built from then on, in the Counter it returns."""
+    def start():
+        counts = Counter()
+        for cls in (Crossing, Tile, TilingVertex):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        return counts
+    return start

@@ -142,12 +142,12 @@ def test_window_square_block(square):
     # in -2..2 (corner distance sqrt(8) = 2.83): a 5x5 block of unit cells
     window = dual.tiling_window(square, 2.9)
     assert len(window) == 25
-    for c, tile in window.tiles.items():
-        base = tile.corners[0]
-        assert base.key == (c.a.k, c.b.k)
-        expected = [base.position, base.position + 1,
-                    base.position + 1 + 1j, base.position + 1j]
-        for got, want in zip(tile.corner_points, expected):
+    cycles = dual.corner_cycles(window.corners, window.positions)
+    for n, (_, ki, _, kj) in enumerate(window.keys):
+        assert window.vertex_keys[window.corners[4 * n]] == (ki, kj)
+        base = cycles[n][0]
+        expected = [base, base + 1, base + 1 + 1j, base + 1j]
+        for got, want in zip(cycles[n], expected):
             assert abs(got - want) < 1e-12
 
 
@@ -166,18 +166,17 @@ def test_window_penrose_offsets_valid():
 
 
 def test_window_vertices_deduplicated(pentagrid):
-    """One shared TilingVertex object per corner key, at its key's position,
-    and every tile's corners those of tile_of_crossing."""
+    """Each corner key is listed once, at its key's position, and every
+    tile's corners are those of tile_of_crossing."""
     for spec, radius in ((pentagrid, 12.0), (random_multigrid(7, 47), 8.0)):
         window = dual.tiling_window(spec, radius)
-        by_key = {}
-        for c, tile in window.tiles.items():
-            assert tile.crossing is c
-            assert tile.corners == dual.tile_of_crossing(spec, c).corners
-            for v in tile.corners:
-                assert by_key.setdefault(v.key, v) is v
-        assert all(v.position == dual.vertex_position(spec, key)
-                   for key, v in by_key.items())
+        assert len(set(window.vertex_keys)) == len(window.vertex_keys)
+        assert window.positions == [dual.vertex_position(spec, key)
+                                    for key in window.vertex_keys]
+        for n, c in enumerate(window.crossings):
+            corners = [dual.TilingVertex(window.vertex_keys[m], window.positions[m])
+                       for m in window.corners[4 * n:4 * n + 4]]
+            assert tuple(corners) == dual.tile_of_crossing(spec, c).corners
 
 
 def test_hot_dataclasses_are_slotted_and_round_trip(pentagrid):
@@ -204,15 +203,19 @@ def test_window_singular_raises():
 def test_adjacent_tiles_share_edge_iff_consecutive(pentagrid):
     from coronagrid.graph import neighbors
     window = dual.tiling_window(pentagrid, 6.0)
+    corner_keys = [window.vertex_keys[m] for m in window.corners]
+    edges = {c: {frozenset((corner_keys[4 * n + k], corner_keys[4 * n + (k + 1) % 4]))
+                 for k in range(4)}
+             for n, c in enumerate(window.crossings)}
     rng = Random(9)
-    inner = [c for c in window.tiles if abs(c.point) < 4.0]
+    inner = [c for c in window.crossings if abs(c.point) < 4.0]
     for c in rng.sample(inner, 25):
-        my_edges = set(window.tiles[c].edge_keys())
+        my_edges = edges[c]
         neighbor_set = set(neighbors(pentagrid, c))
-        for other in window.tiles:
+        for other in window.crossings:
             if other == c:
                 continue
-            shared = my_edges & set(window.tiles[other].edge_keys())
+            shared = my_edges & edges[other]
             if other in neighbor_set:
                 assert len(shared) == 1
             else:
@@ -293,9 +296,9 @@ def window_specs(draw):
 @given(spec_radius=window_specs())
 def test_table_window_matches_per_crossing_reference(spec_radius):
     """The same tiles in the same order, with the same corner keys and
-    bit-equal points and positions, one TilingVertex per key, and the same
-    tiles.csv and tiling.svg bytes as the per-crossing reference; or the
-    same SingularMultigrid message."""
+    bit-equal points and positions, each vertex key listed once, and the
+    same tiles.csv and tiling.svg bytes as the per-crossing reference; or
+    the same SingularMultigrid message."""
     spec, radius = spec_radius
     try:
         want = reference_tiles(spec, radius)
@@ -306,15 +309,14 @@ def test_table_window_matches_per_crossing_reference(spec_radius):
         return
     window = dual.tiling_window(spec, radius)
     assert [tile[0].key for tile in want] == window.keys
-    assert list(window.tiles) == [c for c, _, _ in want]
-    shared = {}
-    for (c, keys, points), (got, tile) in zip(want, window.tiles.items()):
-        assert tile.crossing is got and bits(got.point) == bits(c.point)
-        assert tuple(v.key for v in tile.corners) == keys
-        assert list(map(bits, tile.corner_points)) == list(map(bits, points))
-        for v in tile.corners:
-            assert shared.setdefault(v.key, v) is v
-    assert len(shared) == len(window.vertex_keys)
+    assert window.crossings == [c for c, _, _ in want]
+    cycles = dual.corner_cycles(window.corners, window.positions)
+    for n, (c, keys, points) in enumerate(want):
+        assert bits(window.crossings[n].point) == bits(c.point)
+        assert tuple(window.vertex_keys[m] for m in window.corners[4 * n:4 * n + 4]) == keys
+        assert list(map(bits, cycles[n])) == list(map(bits, points))
+    assert len(set(window.vertex_keys)) == len(window.vertex_keys) \
+        == len({key for _, keys, _ in want for key in keys})
     buf = StringIO()
     cio.write_tiles_csv(window, buf)
     assert buf.getvalue() == reference_csv(want)

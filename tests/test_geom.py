@@ -150,7 +150,7 @@ def eps_runs(draw):
 def window_vertices(draw):
     d = draw(st.integers(3, 7))
     window = tiling_window(random_multigrid(d, draw(st.integers(0, 3))), 3.0)
-    pts = sorted({v.position for tile in window.tiles.values() for v in tile.corners},
+    pts = sorted(set(window.positions),
                  key=lambda z: (z.imag, z.real))
     return pts[:draw(st.integers(1, len(pts)))]
 

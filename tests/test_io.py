@@ -1,6 +1,5 @@
 import warnings
 import xml.etree.ElementTree as ET
-from collections import Counter
 from io import StringIO
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from coronagrid import analysis, certify, graph, multigrid as mg
 from coronagrid import io as cio
 from coronagrid.cli import run
-from coronagrid.dual import Tile, TilingVertex, tiling_window
+from coronagrid.dual import tiling_window
 from coronagrid.errors import EmptyScene, ParseError, ValidationError
 from coronagrid.multigrid import MultigridSpec
 
@@ -263,24 +262,12 @@ def test_tiles_csv_shape(pentagrid):
     assert len(row[4].split()) == pentagrid.d  # key vector of corner 0
 
 
-def count_constructions(monkeypatch):
-    """Count, by class name, the Crossings, Tiles and TilingVertexes built
-    from here on."""
-    counts = Counter()
-    for cls in (mg.Crossing, Tile, TilingVertex):
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            counts[_name] += 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
-    return counts
-
-
-def test_gen_and_corona_scene_build_no_objects(pentagrid, tmp_path, monkeypatch):
+def test_gen_and_corona_scene_build_no_objects(pentagrid, tmp_path, count_constructions):
     """`gen` and corona_scene read key and corner tables: gen builds no
     Crossing, Tile or TilingVertex, and corona_scene no Tile."""
     seed = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
     seq = graph.corona_sequence(pentagrid, seed, 6)
-    counts = count_constructions(monkeypatch)
+    counts = count_constructions()
     assert run(["gen", "--dfold", "5", "--radius", "6", "--out", str(tmp_path)]) == 0
     assert counts == {}
     cio.render_svg(cio.corona_scene(pentagrid, seq))

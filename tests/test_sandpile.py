@@ -20,36 +20,27 @@ def penta_window(pentagrid):
     return tiling_window(pentagrid, 12.0)
 
 
-def test_max_stable_degrees(square, square_window):
+def test_max_stable_degrees(square_window):
     config = sandpile.max_stable(square_window)
-    center = mg.make_crossing(square, LineId(0, 0), LineId(1, 0))
+    assert len(config.neighbors) == len(config.grains) == len(square_window)
+    center = square_window.keys.index((0, 0, 1, 0))
     assert config.grains[center] == 3
-    boundary_grains = {config.grains[c] for c in config.grains
-                       if config.degree(c) < 4}
+    boundary_grains = {g for g, nbs in zip(config.grains, config.neighbors) if len(nbs) < 4}
     assert boundary_grains and all(g < 3 for g in boundary_grains)
-    interior = [c for c in config.grains if config.degree(c) == 4]
-    assert all(config.grains[c] == 3 for c in interior)
+    assert all(g == 3 for g, nbs in zip(config.grains, config.neighbors) if len(nbs) == 4)
 
 
 def neighbor_keys_adjacency(window):
     """Reference: each tile's neighbor_keys that are window tiles, in
-    neighbor_keys order, as the window's own objects."""
-    by_key = {c.key: c for c in window.tiles}
-    return {c: tuple(by_key[k] for k in mg.neighbor_keys(window.spec, c.key) if k in by_key)
-            for c in window.tiles}
-
-
-def same_adjacency(got, want):
-    """Equal tiles in equal order, each mapped to the very same objects."""
-    return (list(got) == list(want)
-            and all(list(map(id, got[c])) == list(map(id, want[c])) for c in want))
+    neighbor_keys order, as tile indices."""
+    index = {key: n for n, key in enumerate(window.keys)}
+    return [tuple(index[k] for k in mg.neighbor_keys(window.spec, key) if k in index)
+            for key in window.keys]
 
 
 def test_window_adjacency_is_graph_adjacency_on_window_tiles(penta_window):
-    """In-window neighbors in neighbor_keys order, as the window's own objects."""
-    adjacency = sandpile.window_adjacency(penta_window)
-    assert list(adjacency) == list(penta_window.tiles)
-    assert same_adjacency(adjacency, neighbor_keys_adjacency(penta_window))
+    """In-window neighbors in neighbor_keys order, as tile indices."""
+    assert sandpile.window_adjacency(penta_window) == neighbor_keys_adjacency(penta_window)
 
 
 @given(d=st.integers(3, 7), seed=st.integers(1, 10_000),
@@ -64,14 +55,15 @@ def test_window_adjacency_matches_neighbor_keys(d, seed, radius):
         want = neighbor_keys_adjacency(window)
     except SingularMultigrid:
         assume(False)
-    assert same_adjacency(sandpile.window_adjacency(window), want)
+    assert sandpile.window_adjacency(window) == want
 
 
 def test_round_one_only_seed_topples(square, square_window):
     at = mg.make_crossing(square, LineId(0, 0), LineId(1, 0))
     config = sandpile.max_stable(square_window)
     after = sandpile.add_grain_and_topple(config, at, rounds=1)
-    assert after.toppled_rounds == {at: 1}
+    assert after.toppled_rounds == {square_window.keys.index(at.key): 1}
+    assert after.toppled_by(1) == {at}
 
 
 def test_square_equivalence_with_lattice_ball(square, square_window):
@@ -115,31 +107,54 @@ def test_boundary_contamination(square):
 
 def test_seed_must_be_interior(square, square_window):
     config = sandpile.max_stable(square_window)
-    rim = next(c for c in config.grains if config.degree(c) < 4)
-    with pytest.raises(ValidationError):
+    rim = next(c for c, nbs in zip(square_window.crossings, config.neighbors) if len(nbs) < 4)
+    with pytest.raises(ValidationError, match="on the window boundary"):
         sandpile.add_grain_and_topple(config, rim, rounds=1)
+    outside = mg.make_crossing(square, LineId(0, 40), LineId(1, 0))
+    with pytest.raises(ValidationError, match="not in the window"):
+        sandpile.add_grain_and_topple(config, outside, rounds=1)
 
 
 def test_empty_window():
     offset_square = mg.MultigridSpec.from_angles([0, 90], 0.5)
     empty = tiling_window(offset_square, 0.1)  # nearest crossing at ~0.707
     config = sandpile.max_stable(empty)
-    assert config.grains == {} and config.total_grains() == 0
+    assert config.grains == [] and config.total_grains() == 0
+
+
+def test_sandpile_builds_no_objects(pentagrid, count_constructions):
+    """max_stable and add_grain_and_topple run on tile indices; toppled_by
+    reads the window's Crossings, built once."""
+    window = tiling_window(pentagrid, 12.0)
+    at = mg.nearest_crossing(pentagrid)
+    counts = count_constructions()
+    final = sandpile.add_grain_and_topple(sandpile.max_stable(window), at, rounds=6)
+    assert counts == {}
+    assert len(final.toppled_by(6)) == len(final.toppled_rounds) > 1
+    final.toppled_by(3)
+    assert counts["Crossing"] <= len(window)
+    assert counts["Tile"] == counts["TilingVertex"] == 0
 
 
 # differential check of the toppler -------------------------------------------
 
 def full_scan_topple(config, at, rounds):
-    """Reference synchronous toppling: every round rescans every tile, and the
-    halo comes from a visited-set BFS."""
-    adjacency = config.adjacency
+    """Reference synchronous toppling on Crossings: its own adjacency from
+    neighbor_keys over the window's crossings, every round a rescan of every
+    tile, and the halo from a visited-set BFS.  Returns the grains and the
+    toppled rounds, keyed by Crossing."""
+    crossings = config.window.crossings
+    by_key = {c.key: c for c in crossings}
+    adjacency = {c: tuple(by_key[k] for k in mg.neighbor_keys(config.window.spec, c.key)
+                          if k in by_key)
+                 for c in crossings}
     halo = {c for c, nbs in adjacency.items() if len(nbs) < 4}
     frontier = halo
     for _ in range(2):
         frontier = {nb for c in frontier for nb in adjacency[c]} - halo
         halo |= frontier
-    grains = dict(config.grains)
-    toppled_rounds = dict(config.toppled_rounds)
+    grains = dict(zip(crossings, config.grains))
+    toppled_rounds = {crossings[n]: r for n, r in config.toppled_rounds.items()}
     grains[at] += 1
     for round_n in range(1, rounds + 1):
         topplers = [c for c, g in grains.items() if 0 < len(adjacency[c]) <= g]
@@ -155,7 +170,7 @@ def full_scan_topple(config, at, rounds):
             for nb in adjacency[c]:
                 grains[nb] += 1
             toppled_rounds.setdefault(c, round_n)
-    return sandpile.SandpileConfig(config.window, adjacency, grains, toppled_rounds)
+    return grains, toppled_rounds
 
 
 @lru_cache(maxsize=None)
@@ -167,14 +182,25 @@ def stable_window(d: int, seed: int, radius: float):
         return None
 
 
-def topple_outcome(topple, config, at, rounds):
-    """The grains and toppled rounds in iteration order, or the refusal
-    message; and the resulting configuration, if any."""
+def topple_outcome(config, at, rounds):
+    """add_grain_and_topple's grains and toppled rounds per Crossing, in
+    window order and in toppling order, or its refusal message; and the
+    resulting configuration, if any."""
     try:
-        result = topple(config, at, rounds)
+        result = sandpile.add_grain_and_topple(config, at, rounds)
     except BoundaryContamination as exc:
         return str(exc), None
-    return (list(result.grains.items()), list(result.toppled_rounds.items())), result
+    crossings = config.window.crossings
+    return (list(zip(crossings, result.grains)),
+            [(crossings[n], r) for n, r in result.toppled_rounds.items()]), result
+
+
+def full_scan_outcome(config, at, rounds):
+    try:
+        grains, toppled_rounds = full_scan_topple(config, at, rounds)
+    except BoundaryContamination as exc:
+        return str(exc)
+    return list(grains.items()), list(toppled_rounds.items())
 
 
 @given(d=st.sampled_from([0, 3, 4, 5, 6, 7]), seed=st.integers(1, 3),
@@ -185,21 +211,21 @@ def test_active_set_toppler_matches_full_scan(d, seed, radius, data):
     then again on its own result (toppled rounds carried over)."""
     config = stable_window(d, seed, radius)
     assume(config is not None)
+    crossings = config.window.crossings
     # drops in the inner half of the window, so runs end both ways
-    inner = sorted((c for c in config.grains
-                    if config.degree(c) == 4 and abs(c.point) <= radius / 2),
+    inner = sorted((c for c, nbs in zip(crossings, config.neighbors)
+                    if len(nbs) == 4 and abs(c.point) <= radius / 2),
                    key=lambda c: c.key)
     assume(inner)
     extra = data.draw(st.dictionaries(st.sampled_from(inner), st.integers(1, 9),
                                       max_size=5))
-    grains = {c: g + extra.get(c, 0) for c, g in config.grains.items()}
-    config = sandpile.SandpileConfig(config.window, config.adjacency, grains, {})
+    grains = [g + extra.get(c, 0) for c, g in zip(crossings, config.grains)]
+    config = sandpile.SandpileConfig(config.window, config.neighbors, grains, {})
     for _ in range(2):
         at = data.draw(st.sampled_from(inner))
         rounds = data.draw(st.integers(1, 12))
-        got, result = topple_outcome(sandpile.add_grain_and_topple, config, at, rounds)
-        want, _ = topple_outcome(full_scan_topple, config, at, rounds)
-        assert got == want
+        got, result = topple_outcome(config, at, rounds)
+        assert got == full_scan_outcome(config, at, rounds)
         if result is None:
             break
         config = result
