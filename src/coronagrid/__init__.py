@@ -15,7 +15,7 @@ from .analysis import (
     normalized_shape,
     tiling_char_polygon,
 )
-from .dual import Tile, TilingVertex, TilingWindow, dual_vertex, linear_dual, tile_of_crossing, tiling_window
+from .dual import TilingWindow, dual_vertex, linear_dual, tile_of_crossing, tiling_window
 from .geom import Polygon, convex_hull, hausdorff_distance, perp, scalar_product, scale_polygon
 from .graph import CoronaSequence, Patch, corona_sequence, corona_step, graph_distance, neighbors
 from .multigrid import (
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CharPolygon", "ConvergenceRow", "CoronaSequence", "Crossing",
     "LineId", "MultigridSpec", "Patch",
-    "Polygon", "SandpileConfig", "Tile", "TilingVertex", "TilingWindow",
+    "Polygon", "SandpileConfig", "TilingWindow",
     "add_grain_and_topple", "check_regular", "convergence_table",
     "convex_hull", "corona_sequence", "corona_step",
     "count_crossings_with_grid", "crossing_point", "crossings_on_segment",

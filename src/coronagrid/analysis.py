@@ -23,7 +23,7 @@ from .dual import corner_tables, linear_dual
 from .errors import GridNotRepresented, ValidationError
 from .geom import Polygon, from_convex_vertices, hull_chain, hull_chain_xy, perp
 from .graph import CoronaSequence, Patch, bfs_layers, corona_sequence
-from .multigrid import (Crossing, Key, LineId, MultigridSpec, crossing_pairs, crossing_point,
+from .multigrid import (Key, LineId, MultigridSpec, crossing_pairs, crossing_point,
                         dominant_lines, frontier_neighbor_keys, line_crossings)
 
 Side = Literal["multigrid", "tiling"]
@@ -108,12 +108,13 @@ def shape_points(spec: MultigridSpec, keys: Collection[Key], side: Side) -> list
     return positions
 
 
-def normalized_shape(spec: MultigridSpec, crossings: Iterable[Crossing],
+def normalized_shape(spec: MultigridSpec, keys: Collection[Key],
                      n: int, side: Side) -> Polygon:
-    """Convex hull of the corona's points, shrunk by 1/n about the origin."""
+    """Convex hull of the points of the corona with these crossing keys,
+    shrunk by 1/n about the origin."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    hull = geom.convex_hull(shape_points(spec, [c.key for c in crossings], side))
+    hull = geom.convex_hull(shape_points(spec, keys, side))
     return geom.scale_polygon(hull, 1.0 / n)
 
 

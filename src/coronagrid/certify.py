@@ -17,7 +17,7 @@ from random import Random
 from typing import Callable
 
 from . import analysis, geom, graph, sandpile
-from .dual import corner_cycles, dual_vertex, linear_dual, tiling_window
+from .dual import corner_cycles, dual_vertex, linear_dual, tiling_window, vertex_position
 from .errors import OnGridLine
 from .geom import perp, scalar_product
 from .multigrid import (
@@ -94,7 +94,7 @@ def crit_almost_linear() -> str:
                 a = rng.uniform(0, 2 * math.pi)
                 z = complex(r * math.cos(a), r * math.sin(a))
                 try:
-                    fz = dual_vertex(spec, z).position
+                    fz = vertex_position(spec, dual_vertex(spec, z))
                     break
                 except OnGridLine:
                     continue

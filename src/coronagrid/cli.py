@@ -5,7 +5,8 @@ Subcommands: gen (tiling window export + SVG), corona (growth run), charpoly
 (endpoint diagnostic), sandpile (corona equivalence report), certify (the
 full acceptance suite; nonzero exit on any failure).
 
-Exit codes: 0 success, 1 certification failure, 2 parse/validation problems.
+Exit codes: 0 success, 1 certification failure, 2 parse/validation problems
+and outputs that cannot be written.
 All artifacts are deterministic: identical invocations give identical bytes.
 """
 
@@ -119,7 +120,8 @@ def _seed_patch(spec: MultigridSpec, args) -> graph.Patch:
     else:
         seed = nearest_crossing(spec)
     ball = graph.corona_sequence(spec, graph.Patch(frozenset([seed])), args.ball)
-    return graph.Patch(frozenset().union(*ball.frontiers))
+    return graph.Patch(frozenset(make_crossing(spec, LineId(i, ki), LineId(j, kj))
+                                 for i, ki, j, kj in ball.corona(args.ball)))
 
 
 def _ns(args) -> list[int]:
@@ -137,7 +139,8 @@ def _csv(write, data) -> str:
 
 def run(argv: list[str]) -> int:
     """Run one command; every artifact is rendered before any file is written,
-    so a command that fails (exit 2) leaves the output directory untouched."""
+    so a parse or validation error (exit 2) leaves the output directory
+    untouched.  A write error also exits 2, with one error line."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -147,11 +150,15 @@ def run(argv: list[str]) -> int:
     except CoronagridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for name, text in files.items():
-        path = args.out / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        print(path)
+    try:
+        for name, text in files.items():
+            path = args.out / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+            print(path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

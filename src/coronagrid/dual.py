@@ -20,20 +20,7 @@ from typing import Iterable
 
 from .errors import OnGridLine, SingularMultigrid
 from .geom import EPS_GEOM, scalar_product
-from .multigrid import (EPS_SINGULAR, Crossing, Key, MultigridSpec, _point_xy,
-                        crossings_from_keys, window_keys)
-
-
-@dataclass(frozen=True, slots=True)
-class TilingVertex:
-    """Vertex of the dual tiling: integer key vector plus cached position."""
-
-    key: tuple[int, ...]
-    position: complex
-
-    @staticmethod
-    def from_key(spec: MultigridSpec, key: tuple[int, ...]) -> "TilingVertex":
-        return TilingVertex(key, vertex_position(spec, key))
+from .multigrid import EPS_SINGULAR, Crossing, Key, MultigridSpec, _point_xy, window_keys
 
 
 def vertex_position(spec: MultigridSpec, key: tuple[int, ...]) -> complex:
@@ -41,8 +28,9 @@ def vertex_position(spec: MultigridSpec, key: tuple[int, ...]) -> complex:
     return sum(map(mul, key, spec.normals))
 
 
-def dual_vertex(spec: MultigridSpec, z: complex) -> TilingVertex:
-    """Tiling vertex of the multigrid cell containing z (key = ceiled levels).
+def dual_vertex(spec: MultigridSpec, z: complex) -> tuple[int, ...]:
+    """Key of the tiling vertex of the multigrid cell containing z: its
+    ceiled levels (vertex_position gives the vertex's position).
 
     The map is constant on open cells; z on (or within EPS_GEOM of) a grid
     line raises OnGridLine, since the cell is ambiguous there.
@@ -53,7 +41,7 @@ def dual_vertex(spec: MultigridSpec, z: complex) -> TilingVertex:
         if abs(u - round(u)) <= EPS_GEOM:
             raise OnGridLine(f"{z} lies on a grid-{i} line; offset it into a cell")
         key.append(math.ceil(u))
-    return TilingVertex.from_key(spec, tuple(key))
+    return tuple(key)
 
 
 def linear_dual(spec: MultigridSpec, z: complex) -> complex:
@@ -63,23 +51,6 @@ def linear_dual(spec: MultigridSpec, z: complex) -> complex:
     linear, it transports limit shapes from the multigrid to the tiling.
     """
     return sum(scalar_product(z, n) * n for n in spec.normals)
-
-
-@dataclass(frozen=True, slots=True)
-class Tile:
-    """Unit rhombus dual to one crossing.
-
-    ``corners`` walks the boundary: base, base + normal_i, base + both,
-    base + normal_j, where (i, j) are the crossing's grid families.  All
-    four corner keys differ from the base key only by +1 in slots i and j.
-    """
-
-    crossing: Crossing
-    corners: tuple[TilingVertex, TilingVertex, TilingVertex, TilingVertex]
-
-    @property
-    def corner_points(self) -> tuple[complex, complex, complex, complex]:
-        return tuple(v.position for v in self.corners)
 
 
 def corner_tables(
@@ -140,10 +111,13 @@ def corner_cycles(corners: list[int], positions: list[complex]) -> list[tuple[co
     return [tuple(points[q:q + 4]) for q in range(0, len(points), 4)]
 
 
-def tile_of_crossing(spec: MultigridSpec, crossing: Crossing) -> Tile:
-    """Build the rhombus dual to a crossing (corners as in corner_tables)."""
-    _, keys, positions = corner_tables(spec, [crossing.key])
-    return Tile(crossing, tuple(map(TilingVertex, keys, positions)))
+def tile_of_crossing(
+    spec: MultigridSpec, crossing: Crossing,
+) -> tuple[tuple[tuple[int, ...], complex], ...]:
+    """The rhombus dual to a crossing: its four corners as (vertex key,
+    position) pairs, in corner_tables' boundary order."""
+    corners, keys, positions = corner_tables(spec, [crossing.key])
+    return tuple((keys[m], positions[m]) for m in corners)
 
 
 @dataclass
@@ -156,9 +130,7 @@ class TilingWindow:
     crossing-ball shaped (selected by crossing position), matching the
     graph exploration, so vertex positions may exceed the nominal radius by
     the linear-dual stretch factor.  Immutable by convention once built.
-
-    The writers, the sandpile and the edge-to-edge audit read the tables;
-    ``crossings`` views the tiles' crossings as objects, built on first read.
+    The writers, the sandpile and the edge-to-edge audit read the tables.
     """
 
     spec: MultigridSpec
@@ -176,21 +148,15 @@ class TilingWindow:
         """Tile indices sorted by crossing key."""
         return sorted(range(len(self.keys)), key=self.keys.__getitem__)
 
-    @cached_property
-    def crossings(self) -> list[Crossing]:
-        """The tiles' Crossings, in tile order."""
-        return next(crossings_from_keys(self.spec, [self.keys]))
-
 
 def tiling_window(spec: MultigridSpec, radius: float) -> TilingWindow:
     """The dual-tiling window over all crossings with |point| <= radius.
 
     The crossing keys come straight from the window's lines (window_keys),
     and one corner_tables pass gives every tile's corners, so each vertex is
-    positioned once and no Crossing, Tile or TilingVertex is built.  Raises
-    ValidationError and ResourceLimit as window_keys does, and
-    SingularMultigrid if any crossing in the window has a third line within
-    EPS_SINGULAR.
+    positioned once and no Crossing is built.  Raises ValidationError and
+    ResourceLimit as window_keys does, and SingularMultigrid if any crossing
+    in the window has a third line within EPS_SINGULAR.
     """
     keys = window_keys(spec, radius)
     return TilingWindow(spec, radius, keys, *corner_tables(spec, keys))

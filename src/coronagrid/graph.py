@@ -14,7 +14,7 @@ is why coronas computed here are tiling coronas as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate, islice
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
@@ -25,7 +25,6 @@ from .multigrid import (
     Key,
     LineId,
     MultigridSpec,
-    crossings_from_keys,
     default_crossing_cap,
     frontier_neighbor_keys,
     make_crossing,
@@ -82,13 +81,11 @@ def corona_step(spec: MultigridSpec, patch: Patch) -> Patch:
 
 @dataclass(frozen=True)
 class CoronaSequence:
-    """Frontier-by-frontier BFS record of a corona growth run.
+    """Frontier-by-frontier BFS record of a corona growth run, on keys.
 
     layers[0] holds the keys of the base patch's crossings; layers[n] the
-    keys of the crossings at graph distance exactly n from it.  frontiers
-    holds the same layers as Crossings; it is built on first read and
-    cached, so runs read only through sizes() or layers build none.
-    corona(n) is the cumulative union of the frontiers.
+    keys of the crossings at graph distance exactly n from it.  corona(n)
+    is the union of layers 0..n, as keys; no reader builds a Crossing.
     """
 
     base: Patch
@@ -99,17 +96,10 @@ class CoronaSequence:
     def n_max(self) -> int:
         return len(self.layers) - 1
 
-    @cached_property
-    def frontiers(self) -> tuple[frozenset[Crossing], ...]:
-        return tuple(map(frozenset, crossings_from_keys(self.spec, self.layers)))
-
-    def corona(self, n: int) -> frozenset[Crossing]:
+    def corona(self, n: int) -> frozenset[Key]:
         if not 0 <= n <= self.n_max:
             raise IndexError(f"corona index {n} not in [0, {self.n_max}]")
-        out: set[Crossing] = set()
-        for f in self.frontiers[:n + 1]:
-            out.update(f)
-        return frozenset(out)
+        return frozenset().union(*self.layers[:n + 1])
 
     def sizes(self) -> list[int]:
         """Cumulative corona sizes |P_0|, |P_1|, ..."""

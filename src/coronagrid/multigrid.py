@@ -300,21 +300,6 @@ def make_crossing(spec: MultigridSpec, a: LineId, b: LineId) -> Crossing:
     return Crossing(a, b, crossing_point(spec, a, b))
 
 
-def crossings_from_keys(
-    spec: MultigridSpec, groups: Iterable[Iterable[Key]],
-) -> Iterator[list[Crossing]]:
-    """Per group of keys, its Crossings in key order, as make_crossing
-    builds them; all crossings of a line, in any group, share one LineId."""
-    lines: dict[tuple[int, int], LineId] = {}
-    for keys in groups:
-        group = []
-        for i, ki, j, kj in keys:   # canonical: i < j
-            a = lines.get((i, ki)) or lines.setdefault((i, ki), LineId(i, ki))
-            b = lines.get((j, kj)) or lines.setdefault((j, kj), LineId(j, kj))
-            group.append(Crossing(a, b, crossing_point(spec, a, b)))
-        yield group
-
-
 def _levels_on_segment(
     spec: MultigridSpec, i: int, k: int, j: int, t0: float, t1: float,
     direction: int = 1,

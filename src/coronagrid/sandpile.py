@@ -13,8 +13,8 @@ BoundaryContamination), so only degree-4 tiles ever topple and grain count
 is exactly conserved.
 
 The state is held on tile indices, in the window's tile order: neighbor
-lists, grain counts and first-toppling rounds.  Crossings are read from the
-window only where a toppled set is handed out.
+lists, grain counts and first-toppling rounds.  A toppled set is handed out
+as the window's crossing keys, the form CoronaSequence.corona gives.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable
 from .dual import TilingWindow
 from .errors import BoundaryContamination, ValidationError
 from .graph import bfs_layers
-from .multigrid import Crossing
+from .multigrid import Crossing, Key
 
 
 def window_adjacency(window: TilingWindow) -> list[tuple[int, ...]]:
@@ -72,9 +72,10 @@ class SandpileConfig:
     def total_grains(self) -> int:
         return sum(self.grains)
 
-    def toppled_by(self, round_n: int) -> frozenset[Crossing]:
-        crossings = self.window.crossings
-        return frozenset(crossings[n] for n, r in self.toppled_rounds.items() if r <= round_n)
+    def toppled_by(self, round_n: int) -> frozenset[Key]:
+        """Keys of the tiles that toppled in rounds 1..round_n."""
+        keys = self.window.keys
+        return frozenset(keys[n] for n, r in self.toppled_rounds.items() if r <= round_n)
 
 
 def max_stable(window: TilingWindow) -> SandpileConfig:

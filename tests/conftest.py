@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import settings
 
-from coronagrid import MultigridSpec, Patch, Tile, TilingVertex, corona_sequence, nearest_crossing
+from coronagrid import MultigridSpec, Patch, corona_sequence, nearest_crossing
 from coronagrid.multigrid import Crossing
 
 # Every property test: a fixed, replayable example sequence and no deadline.
@@ -36,14 +36,14 @@ def pentagrid_run(pentagrid):
 
 @pytest.fixture
 def count_constructions(monkeypatch):
-    """Call it to start counting, by class name, the Crossings, Tiles and
-    TilingVertexes built from then on, in the Counter it returns."""
+    """Call it to start counting the Crossings built from then on, under
+    "Crossing" in the Counter it returns."""
     def start():
         counts = Counter()
-        for cls in (Crossing, Tile, TilingVertex):
-            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-                counts[_name] += 1
-                _init(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "__init__", counted)
+
+        def counted(self, *args, _init=Crossing.__init__, **kwargs):
+            counts["Crossing"] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(Crossing, "__init__", counted)
         return counts
     return start

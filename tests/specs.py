@@ -1,9 +1,10 @@
-"""Hypothesis strategies for multigrid specs, shared by the test modules."""
+"""Hypothesis strategies for multigrid specs, and the Crossing of a key, shared
+by the test modules."""
 
 from hypothesis import assume, strategies as st
 
 from coronagrid.errors import ValidationError
-from coronagrid.multigrid import MultigridSpec
+from coronagrid.multigrid import LineId, MultigridSpec, make_crossing
 
 
 @st.composite
@@ -24,3 +25,9 @@ def walk_specs(draw):
         return MultigridSpec.from_angles(angles, offsets)
     except ValidationError:
         assume(False)
+
+
+def crossing_of(spec, key):
+    """The Crossing with this key, for the entry points that take one."""
+    i, ki, j, kj = key
+    return make_crossing(spec, LineId(i, ki), LineId(j, kj))

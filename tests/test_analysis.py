@@ -96,20 +96,20 @@ def test_normalized_shape_square_diamond(square):
 
 def test_normalized_shape_single_tile_tiling_side(pentagrid):
     seed = mg.nearest_crossing(pentagrid)
-    hull = analysis.normalized_shape(pentagrid, [seed], 1, "tiling")
+    hull = analysis.normalized_shape(pentagrid, [seed.key], 1, "tiling")
     assert hull.n == 4  # one rhombus
 
 
 def test_normalized_shape_degenerate_raises(pentagrid):
     seed = mg.nearest_crossing(pentagrid)
     with pytest.raises(DegenerateInput):
-        analysis.normalized_shape(pentagrid, [seed], 1, "multigrid")
+        analysis.normalized_shape(pentagrid, [seed.key], 1, "multigrid")
 
 
 def test_normalized_shape_first_corona_no_failure(pentagrid):
     seed = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
     p1 = graph.corona_step(pentagrid, seed)
-    hull = analysis.normalized_shape(pentagrid, p1.crossings, 1, "multigrid")
+    hull = analysis.normalized_shape(pentagrid, [c.key for c in p1.crossings], 1, "multigrid")
     assert hull.n >= 3
 
 

@@ -1,11 +1,14 @@
+import ast
 import csv
 import hashlib
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import coronagrid
 from coronagrid import graph
 from coronagrid.cli import run
 from coronagrid.multigrid import frontier_neighbor_keys
@@ -113,6 +116,26 @@ def test_validation_exits_2(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    """An --out that names a file, or an artifact name taken by a directory,
+    exits 2 with one error line and no traceback."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "coronagrid.cli", "corona", "--dfold", "5", "--n", "2",
+         "--out", str(afile)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    taken = tmp_path / "taken"
+    (taken / "charpoly.csv").mkdir(parents=True)
+    assert run(["charpoly", "--dfold", "5", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_offsets_outside_the_unit_interval_fold_with_a_warning(tmp_path):
     """A single --offsets value folds mod 1 with a warning, as a list does."""
     for offsets in ("1.5", "1.5,0.5,0.5,-0.5,0.5"):
@@ -204,6 +227,15 @@ PINNED_ARTIFACTS = [
         "sandpile_report.txt":
             "488e7943c6efd2b0ab0695ff4c57338252192e287ce723019af56615fe8d7a8a",
     }),
+    # a seed grown by --ball: the Patch is rebuilt from the ball's keys
+    (["corona", "--dfold", "5", "--n", "6", "--ball", "2"], {
+        "corona.svg": "0cae3cdf04038c77f626760ab853d41c9fe23709b581f14489cfc2e8f9e9b3af",
+        "frontiers.csv": "bdc13bc7f3e82d446fac931b6f8287786830ae8e9713e3e2feb800d36d1e5a3d",
+    }),
+    (["converge", "--dfold", "5", "--tile", "0,1,0,0", "--ball", "3", "--n", "5,10",
+      "--side", "multigrid"], {
+        "convergence.csv": "47798ac8c5b67736d3c2557d0f8293100d24cca54859f1c42977bd7b35acf24d",
+    }),
 ]
 
 
@@ -214,8 +246,8 @@ def test_deterministic_artifacts(tmp_path):
                     "--out", str(out)]) == 0
     assert (a / "corona.svg").read_bytes() == (b / "corona.svg").read_bytes()
     assert (a / "frontiers.csv").read_bytes() == (b / "frontiers.csv").read_bytes()
-    for argv, digests in PINNED_ARTIFACTS:
-        out = tmp_path / argv[0]
+    for k, (argv, digests) in enumerate(PINNED_ARTIFACTS):
+        out = tmp_path / f"pinned{k}"
         assert run(argv + ["--out", str(out)]) == 0
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir())}
@@ -241,3 +273,26 @@ def test_cli_imports_only_the_standard_library():
     loaded = {name.partition(".")[0] for name in proc.stdout.split()}
     assert "coronagrid" in loaded
     assert loaded - {"coronagrid"} <= sys.stdlib_module_names, sorted(loaded)
+
+
+def test_every_imported_name_is_used():
+    """Every name a coronagrid module imports (bar __init__.py and
+    __future__) is read in that module; no linter is installed, so this is
+    the check for imports left behind by a deletion."""
+    unused = []
+    for path in sorted(Path(coronagrid.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

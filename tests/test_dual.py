@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
-from specs import walk_specs
+from specs import crossing_of, walk_specs
 
 from coronagrid import dual, multigrid as mg
 from coronagrid import io as cio
@@ -18,15 +18,15 @@ from coronagrid.multigrid import EPS_SINGULAR, LineId, MultigridSpec
 # dual vertex ---------------------------------------------------------------
 
 def test_dual_vertex_pentagrid_origin(pentagrid):
-    v = dual.dual_vertex(pentagrid, 0j)
-    assert v.key == (0, 0, 0, 0, 0)
-    assert v.position == 0j
+    key = dual.dual_vertex(pentagrid, 0j)
+    assert key == (0, 0, 0, 0, 0)
+    assert dual.vertex_position(pentagrid, key) == 0j
 
 
 def test_dual_vertex_square_cell(square):
-    v = dual.dual_vertex(square, 0.5 + 0.5j)
-    assert v.key == (1, 1)
-    assert v.position == pytest.approx(1 + 1j)
+    key = dual.dual_vertex(square, 0.5 + 0.5j)
+    assert key == (1, 1)
+    assert dual.vertex_position(square, key) == pytest.approx(1 + 1j)
 
 
 def test_dual_vertex_on_line_raises(square):
@@ -35,15 +35,18 @@ def test_dual_vertex_on_line_raises(square):
 
 
 def test_position_recomputable_from_key(pentagrid):
+    """The key is the cell's ceiled levels, and the vertex position follows
+    from the key alone."""
     rng = Random(0)
     for _ in range(100):
         z = complex(rng.uniform(-40, 40), rng.uniform(-40, 40))
         try:
-            v = dual.dual_vertex(pentagrid, z)
+            key = dual.dual_vertex(pentagrid, z)
         except OnGridLine:
             continue
-        again = dual.TilingVertex.from_key(pentagrid, v.key)
-        assert abs(again.position - v.position) < 1e-9
+        assert key == tuple(math.ceil(pentagrid.level(i, z)) for i in range(pentagrid.d))
+        again = sum(k * n for k, n in zip(key, pentagrid.normals))
+        assert abs(again - dual.vertex_position(pentagrid, key)) < 1e-9
 
 
 # linear dual ---------------------------------------------------------------
@@ -72,7 +75,7 @@ def test_dualization_near_linear_bound():
         for _ in range(2000):
             z = complex(rng.uniform(-1000, 1000), rng.uniform(-1000, 1000))
             try:
-                f = dual.dual_vertex(spec, z).position
+                f = dual.vertex_position(spec, dual.dual_vertex(spec, z))
             except OnGridLine:
                 continue
             assert abs(f - dual.linear_dual(spec, z)) <= bound
@@ -80,18 +83,23 @@ def test_dualization_near_linear_bound():
 
 # tiles ----------------------------------------------------------------------
 
+def corner_points(spec, c):
+    return [position for _, position in dual.tile_of_crossing(spec, c)]
+
+
 def test_tile_square_cell_corners(square):
     c = mg.make_crossing(square, LineId(0, 2), LineId(1, 3))
-    tile = dual.tile_of_crossing(square, c)
     expected = [2 + 3j, 3 + 3j, 3 + 4j, 2 + 4j]
-    for got, want in zip(tile.corner_points, expected):
+    points = corner_points(square, c)
+    assert len(points) == 4
+    for got, want in zip(points, expected):
         assert abs(got - want) < 1e-12
 
 
 @pytest.mark.parametrize("j,angle_deg", [(1, 72.0), (2, 144.0)])
 def test_tile_pentagrid_rhombus_angles(pentagrid, j, angle_deg):
     c = mg.make_crossing(pentagrid, LineId(0, 0), LineId(j, 0))
-    pts = dual.tile_of_crossing(pentagrid, c).corner_points
+    pts = corner_points(pentagrid, c)
     for k in range(4):
         assert abs(abs(pts[(k + 1) % 4] - pts[k]) - 1.0) < 1e-9
     e1 = pts[1] - pts[0]
@@ -104,9 +112,8 @@ def test_tile_pentagrid_rhombus_angles(pentagrid, j, angle_deg):
 def test_tile_keys_shift_only_crossing_slots(pentagrid):
     c = mg.make_crossing(pentagrid, LineId(1, 2), LineId(3, -1))
     tile = dual.tile_of_crossing(pentagrid, c)
-    base = tile.corners[0].key
-    deltas = sorted(tuple(k - b for k, b in zip(corner.key, base))
-                    for corner in tile.corners)
+    base = tile[0][0]
+    deltas = sorted(tuple(k - b for k, b in zip(key, base)) for key, _ in tile)
     expect_i = tuple(1 if l == 1 else 0 for l in range(5))
     expect_j = tuple(1 if l == 3 else 0 for l in range(5))
     expect_ij = tuple(x + y for x, y in zip(expect_i, expect_j))
@@ -117,7 +124,7 @@ def test_tile_edge_directions_are_normals(pentagrid):
     rng = Random(8)
     crossings = mg.enumerate_crossings(pentagrid, 6.0)
     for c in rng.sample(crossings, 40):
-        pts = dual.tile_of_crossing(pentagrid, c).corner_points
+        pts = corner_points(pentagrid, c)
         i, j = c.grids
         allowed = {i, j}
         for k in range(4):
@@ -173,23 +180,20 @@ def test_window_vertices_deduplicated(pentagrid):
         assert len(set(window.vertex_keys)) == len(window.vertex_keys)
         assert window.positions == [dual.vertex_position(spec, key)
                                     for key in window.vertex_keys]
-        for n, c in enumerate(window.crossings):
-            corners = [dual.TilingVertex(window.vertex_keys[m], window.positions[m])
-                       for m in window.corners[4 * n:4 * n + 4]]
-            assert tuple(corners) == dual.tile_of_crossing(spec, c).corners
+        for n, key in enumerate(window.keys):
+            corners = tuple((window.vertex_keys[m], window.positions[m])
+                            for m in window.corners[4 * n:4 * n + 4])
+            assert corners == dual.tile_of_crossing(spec, crossing_of(spec, key))
 
 
 def test_hot_dataclasses_are_slotted_and_round_trip(pentagrid):
-    """Crossing, Tile and TilingVertex keep no instance __dict__ and survive
-    pickle and deepcopy with equality and hash; a Crossing's equality still
-    ignores its point."""
+    """Crossing keeps no instance __dict__ and survives pickle and deepcopy
+    with equality and hash; its equality still ignores its point."""
     c = mg.nearest_crossing(pentagrid)
-    tile = dual.tile_of_crossing(pentagrid, c)
-    for obj in (c, tile, tile.corners[0]):
-        assert not hasattr(obj, "__dict__")
-        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
-            assert twin is not obj
-            assert twin == obj and hash(twin) == hash(obj)
+    assert not hasattr(c, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert twin is not c
+        assert twin == c and hash(twin) == hash(c)
     assert pickle.loads(pickle.dumps(c)).point == c.point
     moved = mg.Crossing(c.a, c.b, c.point + 1)
     assert moved == c and hash(moved) == hash(c)
@@ -201,19 +205,19 @@ def test_window_singular_raises():
 
 
 def test_adjacent_tiles_share_edge_iff_consecutive(pentagrid):
-    from coronagrid.graph import neighbors
     window = dual.tiling_window(pentagrid, 6.0)
     corner_keys = [window.vertex_keys[m] for m in window.corners]
-    edges = {c: {frozenset((corner_keys[4 * n + k], corner_keys[4 * n + (k + 1) % 4]))
-                 for k in range(4)}
-             for n, c in enumerate(window.crossings)}
+    edges = {key: {frozenset((corner_keys[4 * n + k], corner_keys[4 * n + (k + 1) % 4]))
+                   for k in range(4)}
+             for n, key in enumerate(window.keys)}
     rng = Random(9)
-    inner = [c for c in window.crossings if abs(c.point) < 4.0]
-    for c in rng.sample(inner, 25):
-        my_edges = edges[c]
-        neighbor_set = set(neighbors(pentagrid, c))
-        for other in window.crossings:
-            if other == c:
+    inner = [key for key, (x, y) in zip(window.keys, mg.crossing_pairs(pentagrid, window.keys))
+             if abs(complex(x, y)) < 4.0]
+    for key in rng.sample(inner, 25):
+        my_edges = edges[key]
+        neighbor_set = set(mg.neighbor_keys(pentagrid, key))
+        for other in window.keys:
+            if other == key:
                 continue
             shared = my_edges & edges[other]
             if other in neighbor_set:
@@ -309,10 +313,10 @@ def test_table_window_matches_per_crossing_reference(spec_radius):
         return
     window = dual.tiling_window(spec, radius)
     assert [tile[0].key for tile in want] == window.keys
-    assert window.crossings == [c for c, _, _ in want]
     cycles = dual.corner_cycles(window.corners, window.positions)
+    pairs = list(mg.crossing_pairs(spec, window.keys))
     for n, (c, keys, points) in enumerate(want):
-        assert bits(window.crossings[n].point) == bits(c.point)
+        assert bits(complex(*pairs[n])) == bits(c.point)
         assert tuple(window.vertex_keys[m] for m in window.corners[4 * n:4 * n + 4]) == keys
         assert list(map(bits, cycles[n])) == list(map(bits, points))
     assert len(set(window.vertex_keys)) == len(window.vertex_keys) \

@@ -10,7 +10,7 @@ from coronagrid import analysis, graph, io as cio, multigrid as mg
 from coronagrid.certify import random_multigrid
 from coronagrid.errors import CoronagridError, ResourceLimit, Unreachable
 from coronagrid.multigrid import LineId, MultigridSpec
-from specs import walk_specs
+from specs import crossing_of, walk_specs
 
 
 def square_crossing(square, x, y):
@@ -78,7 +78,7 @@ def test_corona_step_superset_and_adjacent(pentagrid):
 def test_corona_sequence_zero(square):
     p = graph.Patch(frozenset([square_crossing(square, 0, 0)]))
     seq = graph.corona_sequence(square, p, 0)
-    assert seq.n_max == 0 and seq.corona(0) == p.crossings
+    assert seq.n_max == 0 and seq.corona(0) == {c.key for c in p.crossings}
 
 
 def test_corona_sizes_square_diamond(square):
@@ -105,13 +105,13 @@ def test_frontiers_partition_and_match_bfs_distance(pentagrid):
     seed = mg.nearest_crossing(pentagrid)
     seq = graph.corona_sequence(pentagrid, graph.Patch(frozenset([seed])), 8)
     seen = set()
-    for frontier in seq.frontiers:
-        assert not (frontier & seen)
-        seen |= frontier
+    for layer in seq.layers:
+        assert not (layer & seen)
+        seen |= layer
     rng = Random(2)
-    members = [(n, c) for n, f in enumerate(seq.frontiers) for c in f]
-    for n, c in rng.sample(members, 25):
-        assert graph.graph_distance(pentagrid, seed, c, cap=12) == n
+    members = [(n, key) for n, layer in enumerate(seq.layers) for key in sorted(layer)]
+    for n, key in rng.sample(members, 25):
+        assert graph.graph_distance(pentagrid, seed, crossing_of(pentagrid, key), cap=12) == n
 
 
 def visited_set_bfs(spec, seed, n_max):
@@ -148,8 +148,8 @@ def test_layers_and_distance_match_visited_set_bfs(spec, n_max, data):
     except mg.SingularMultigrid:
         assume(False)
     seq = graph.corona_sequence(spec, graph.Patch(frozenset([seed])), n_max)
-    for n, frontier in enumerate(seq.frontiers):
-        assert frontier == {c for c, k in dist.items() if k == n}
+    for n, layer in enumerate(seq.layers):
+        assert layer == {c.key for c, k in dist.items() if k == n}
     members = sorted(dist, key=lambda c: c.key)
     for c in data.draw(st.lists(st.sampled_from(members), max_size=5)):
         if dist[c] <= n_max:
@@ -341,44 +341,36 @@ def test_frontier_neighbor_keys_hand_off_bound(monkeypatch, key, handed_off):
 
 
 def test_frontier_growth_is_linear(pentagrid_run):
-    f40 = len(pentagrid_run.frontiers[40])
-    f80 = len(pentagrid_run.frontiers[80])
+    f40 = len(pentagrid_run.layers[40])
+    f80 = len(pentagrid_run.layers[80])
     assert 1.7 <= f80 / f40 <= 2.3
 
 
 @pytest.mark.parametrize("spec", [mg.MultigridSpec.dfold(5, 0.5), random_multigrid(7, 47)])
-def test_frontiers_built_lazily_from_layers(spec):
-    """frontiers equals a crossing-by-crossing build from the layer keys,
-    with the same points, and every crossing of a line shares one LineId."""
+def test_corona_is_union_of_layers(spec):
+    """corona(n) is the union of layers 0..n, as keys; layer 0 holds the
+    base patch's keys."""
     seed = mg.nearest_crossing(spec)
     seq = graph.corona_sequence(spec, graph.Patch(frozenset([seed])), 12)
-    assert "frontiers" not in vars(seq)
-    frontiers = seq.frontiers
-    assert seq.frontiers is frontiers
-    assert frontiers[0] == seq.base.crossings
-    assert len(frontiers) == len(seq.layers)
-    shared = {}
-    for layer, frontier in zip(seq.layers, frontiers):
-        eager = {c: c for c in (mg.make_crossing(spec, LineId(i, ki), LineId(j, kj))
-                                for i, ki, j, kj in layer)}
-        assert frontier == eager.keys()
-        for c in frontier:
-            assert c.key in layer
-            assert c.point == mg.crossing_point(spec, c.a, c.b) == eager[c].point
-            for line in (c.a, c.b):
-                assert shared.setdefault(line, line) is line
+    assert seq.layers[0] == {seed.key}
+    for n in range(seq.n_max + 1):
+        assert seq.corona(n) == frozenset().union(*seq.layers[:n + 1])
+        assert len(seq.corona(n)) == seq.sizes()[n]
+    with pytest.raises(IndexError):
+        seq.corona(seq.n_max + 1)
 
 
-def test_key_consumers_build_no_crossings(pentagrid):
-    """sizes, the frontiers CSV and the convergence rows of both sides read
-    the layer keys; none of them builds the frontiers."""
+def test_key_consumers_build_no_crossings(pentagrid, count_constructions):
+    """sizes, corona(n), the frontiers CSV and the convergence rows of both
+    sides read the layer keys; none of them builds a Crossing."""
     seed = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
     seq = graph.corona_sequence(pentagrid, seed, 10)
+    counts = count_constructions()
     for side in ("multigrid", "tiling"):
         analysis.convergence_table(pentagrid, seed, [5, 10], side, sequence=seq)
     cio.write_frontiers_csv(seq, StringIO())
-    assert seq.sizes()[-1] == sum(map(len, seq.layers))
-    assert "frontiers" not in vars(seq)
+    assert seq.sizes()[-1] == sum(map(len, seq.layers)) == len(seq.corona(10))
+    assert counts == {}
 
 
 def test_corona_sequence_resource_cap(pentagrid):

@@ -263,15 +263,15 @@ def test_tiles_csv_shape(pentagrid):
 
 
 def test_gen_and_corona_scene_build_no_objects(pentagrid, tmp_path, count_constructions):
-    """`gen` and corona_scene read key and corner tables: gen builds no
-    Crossing, Tile or TilingVertex, and corona_scene no Tile."""
+    """`gen` and corona_scene read key and corner tables: neither builds a
+    Crossing."""
     seed = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
     seq = graph.corona_sequence(pentagrid, seed, 6)
     counts = count_constructions()
     assert run(["gen", "--dfold", "5", "--radius", "6", "--out", str(tmp_path)]) == 0
     assert counts == {}
     cio.render_svg(cio.corona_scene(pentagrid, seq))
-    assert counts["Tile"] == 0
+    assert counts == {}
 
 
 def test_frontiers_csv(square):

@@ -8,6 +8,7 @@ from coronagrid.certify import random_multigrid
 from coronagrid.dual import tiling_window
 from coronagrid.errors import BoundaryContamination, SingularMultigrid, ValidationError
 from coronagrid.multigrid import LineId
+from specs import crossing_of
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,7 @@ def test_round_one_only_seed_topples(square, square_window):
     config = sandpile.max_stable(square_window)
     after = sandpile.add_grain_and_topple(config, at, rounds=1)
     assert after.toppled_rounds == {square_window.keys.index(at.key): 1}
-    assert after.toppled_by(1) == {at}
+    assert after.toppled_by(1) == {at.key}
 
 
 def test_square_equivalence_with_lattice_ball(square, square_window):
@@ -107,9 +108,9 @@ def test_boundary_contamination(square):
 
 def test_seed_must_be_interior(square, square_window):
     config = sandpile.max_stable(square_window)
-    rim = next(c for c, nbs in zip(square_window.crossings, config.neighbors) if len(nbs) < 4)
+    rim = next(key for key, nbs in zip(square_window.keys, config.neighbors) if len(nbs) < 4)
     with pytest.raises(ValidationError, match="on the window boundary"):
-        sandpile.add_grain_and_topple(config, rim, rounds=1)
+        sandpile.add_grain_and_topple(config, crossing_of(square, rim), rounds=1)
     outside = mg.make_crossing(square, LineId(0, 40), LineId(1, 0))
     with pytest.raises(ValidationError, match="not in the window"):
         sandpile.add_grain_and_topple(config, outside, rounds=1)
@@ -123,53 +124,54 @@ def test_empty_window():
 
 
 def test_sandpile_builds_no_objects(pentagrid, count_constructions):
-    """max_stable and add_grain_and_topple run on tile indices; toppled_by
-    reads the window's Crossings, built once."""
+    """max_stable and add_grain_and_topple run on tile indices, and the
+    corona comparison on keys: neither toppled_by nor CoronaSequence.corona
+    builds a Crossing."""
     window = tiling_window(pentagrid, 12.0)
     at = mg.nearest_crossing(pentagrid)
+    seq = graph.corona_sequence(pentagrid, graph.Patch(frozenset([at])), 5)
     counts = count_constructions()
     final = sandpile.add_grain_and_topple(sandpile.max_stable(window), at, rounds=6)
-    assert counts == {}
     assert len(final.toppled_by(6)) == len(final.toppled_rounds) > 1
-    final.toppled_by(3)
-    assert counts["Crossing"] <= len(window)
-    assert counts["Tile"] == counts["TilingVertex"] == 0
+    for n in range(1, 7):
+        assert final.toppled_by(n) == seq.corona(n - 1)
+    assert counts == {}
 
 
 # differential check of the toppler -------------------------------------------
 
 def full_scan_topple(config, at, rounds):
-    """Reference synchronous toppling on Crossings: its own adjacency from
-    neighbor_keys over the window's crossings, every round a rescan of every
+    """Reference synchronous toppling on crossing keys: its own adjacency
+    from neighbor_keys over the window's keys, every round a rescan of every
     tile, and the halo from a visited-set BFS.  Returns the grains and the
-    toppled rounds, keyed by Crossing."""
-    crossings = config.window.crossings
-    by_key = {c.key: c for c in crossings}
-    adjacency = {c: tuple(by_key[k] for k in mg.neighbor_keys(config.window.spec, c.key)
-                          if k in by_key)
-                 for c in crossings}
-    halo = {c for c, nbs in adjacency.items() if len(nbs) < 4}
+    toppled rounds, keyed by crossing key."""
+    keys = config.window.keys
+    in_window = set(keys)
+    adjacency = {key: tuple(k for k in mg.neighbor_keys(config.window.spec, key)
+                            if k in in_window)
+                 for key in keys}
+    halo = {key for key, nbs in adjacency.items() if len(nbs) < 4}
     frontier = halo
     for _ in range(2):
-        frontier = {nb for c in frontier for nb in adjacency[c]} - halo
+        frontier = {nb for key in frontier for nb in adjacency[key]} - halo
         halo |= frontier
-    grains = dict(zip(crossings, config.grains))
-    toppled_rounds = {crossings[n]: r for n, r in config.toppled_rounds.items()}
-    grains[at] += 1
+    grains = dict(zip(keys, config.grains))
+    toppled_rounds = {keys[n]: r for n, r in config.toppled_rounds.items()}
+    grains[at.key] += 1
     for round_n in range(1, rounds + 1):
-        topplers = [c for c, g in grains.items() if 0 < len(adjacency[c]) <= g]
+        topplers = [key for key, g in grains.items() if 0 < len(adjacency[key]) <= g]
         if not topplers:
             break
-        contaminated = [c for c in topplers if c in halo]
+        contaminated = [key for key in topplers if key in halo]
         if contaminated:
             raise BoundaryContamination(
                 f"round {round_n}: avalanche reached within distance 2 of the "
-                f"window boundary at {contaminated[0].key}; grow the window")
-        for c in topplers:
-            grains[c] -= len(adjacency[c])
-            for nb in adjacency[c]:
+                f"window boundary at {contaminated[0]}; grow the window")
+        for key in topplers:
+            grains[key] -= len(adjacency[key])
+            for nb in adjacency[key]:
                 grains[nb] += 1
-            toppled_rounds.setdefault(c, round_n)
+            toppled_rounds.setdefault(key, round_n)
     return grains, toppled_rounds
 
 
@@ -183,16 +185,16 @@ def stable_window(d: int, seed: int, radius: float):
 
 
 def topple_outcome(config, at, rounds):
-    """add_grain_and_topple's grains and toppled rounds per Crossing, in
+    """add_grain_and_topple's grains and toppled rounds per crossing key, in
     window order and in toppling order, or its refusal message; and the
     resulting configuration, if any."""
     try:
         result = sandpile.add_grain_and_topple(config, at, rounds)
     except BoundaryContamination as exc:
         return str(exc), None
-    crossings = config.window.crossings
-    return (list(zip(crossings, result.grains)),
-            [(crossings[n], r) for n, r in result.toppled_rounds.items()]), result
+    keys = config.window.keys
+    return (list(zip(keys, result.grains)),
+            [(keys[n], r) for n, r in result.toppled_rounds.items()]), result
 
 
 def full_scan_outcome(config, at, rounds):
@@ -211,18 +213,18 @@ def test_active_set_toppler_matches_full_scan(d, seed, radius, data):
     then again on its own result (toppled rounds carried over)."""
     config = stable_window(d, seed, radius)
     assume(config is not None)
-    crossings = config.window.crossings
+    window = config.window
+    points = mg.crossing_pairs(window.spec, window.keys)
     # drops in the inner half of the window, so runs end both ways
-    inner = sorted((c for c, nbs in zip(crossings, config.neighbors)
-                    if len(nbs) == 4 and abs(c.point) <= radius / 2),
-                   key=lambda c: c.key)
+    inner = sorted(key for key, nbs, (x, y) in zip(window.keys, config.neighbors, points)
+                   if len(nbs) == 4 and abs(complex(x, y)) <= radius / 2)
     assume(inner)
     extra = data.draw(st.dictionaries(st.sampled_from(inner), st.integers(1, 9),
                                       max_size=5))
-    grains = [g + extra.get(c, 0) for c, g in zip(crossings, config.grains)]
-    config = sandpile.SandpileConfig(config.window, config.neighbors, grains, {})
+    grains = [g + extra.get(key, 0) for key, g in zip(window.keys, config.grains)]
+    config = sandpile.SandpileConfig(window, config.neighbors, grains, {})
     for _ in range(2):
-        at = data.draw(st.sampled_from(inner))
+        at = crossing_of(window.spec, data.draw(st.sampled_from(inner)))
         rounds = data.draw(st.integers(1, 12))
         got, result = topple_outcome(config, at, rounds)
         assert got == full_scan_outcome(config, at, rounds)
