@@ -22,7 +22,7 @@ from . import geom
 from .dual import corner_tables, linear_dual
 from .errors import GridNotRepresented, ValidationError
 from .geom import Polygon, from_convex_vertices, hull_chain, hull_chain_xy, perp
-from .graph import CoronaSequence, Patch, bfs_layers, corona_sequence
+from .graph import CoronaSequence, Patch, bfs_layers, corona_layers
 from .multigrid import (Key, LineId, MultigridSpec, crossing_pairs, crossing_point,
                         dominant_lines, frontier_neighbor_keys, line_crossings)
 
@@ -98,7 +98,7 @@ def char_polygon(spec: MultigridSpec, side: Side) -> CharPolygon:
     return grid_char_polygon(spec) if side == "multigrid" else tiling_char_polygon(spec)
 
 
-def shape_points(spec: MultigridSpec, keys: Collection[Key], side: Side) -> list[complex]:
+def shape_points(spec: MultigridSpec, keys: Iterable[Key], side: Side) -> list[complex]:
     """The point cloud a corona occupies, from its crossing keys: crossing
     points on the multigrid side, the distinct dual-tile corners on the
     tiling side."""
@@ -145,22 +145,28 @@ def convergence_table(
 ) -> list[ConvergenceRow]:
     """Hausdorff distance of hull(P_n)/n to the characteristic polygon, per n.
 
-    A single corona run to max(ns) backs all rows; pass `sequence` to reuse
-    an existing run.  The hull is grown frontier by frontier,
-    hull(P_n) = hull(hull(P_{n-1}) + F_n), so each crossing's points are
-    taken once, from its key: no Crossing is built.  The chain is kept as
-    (x, y) pairs.
+    The hull is grown frontier by frontier, hull(P_n) = hull(hull(P_{n-1})
+    + F_n), so each crossing's points are taken once, from its key: no
+    Crossing is built.  The chain is kept as (x, y) pairs.  Without
+    `sequence`, the layers are streamed from corona_layers to max(ns) and
+    dropped once read, so the table holds the frontier, not the ball; a
+    refusal of layer k's points then comes before any growth refusal or
+    crossing cap beyond layer k.  Pass `sequence` to read an existing run's
+    layers instead.
     """
     ns = sorted(ns)
     if not ns or ns[0] < 1:
         raise ValidationError("ns must be nonempty with n >= 1")
     target = char_polygon(spec, side).polygon
-    seq = sequence or corona_sequence(spec, patch, ns[-1])
-    if ns[-1] > seq.n_max:
-        raise IndexError(f"corona index {ns[-1]} not in [0, {seq.n_max}]")
+    if sequence is None:
+        layers: Iterable[Iterable[Key]] = corona_layers(spec, patch, ns[-1])
+    elif ns[-1] > sequence.n_max:
+        raise IndexError(f"corona index {ns[-1]} not in [0, {sequence.n_max}]")
+    else:
+        layers = map(sequence.layer, range(ns[-1] + 1))
     rows = []
     chain: list[tuple[float, float]] = []
-    for n, layer in enumerate(seq.layers[:ns[-1] + 1]):
+    for n, layer in enumerate(layers):
         points = (crossing_pairs(spec, layer) if side == "multigrid" else
                   ((p.real, p.imag) for p in shape_points(spec, layer, side)))
         chain = hull_chain_xy(itertools.chain(chain, points))

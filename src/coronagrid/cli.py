@@ -13,6 +13,8 @@ All artifacts are deterministic: identical invocations give identical bytes.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from io import StringIO
 from pathlib import Path
@@ -116,12 +118,16 @@ def _seed_patch(spec: MultigridSpec, args) -> graph.Patch:
             raise ValidationError(
                 f"--tile takes i,j,ki,kj with grids i, j in 0..{spec.d - 1}, got {args.tile!r}")
         i, j, ki, kj = tile
-        seed = make_crossing(spec, LineId(i, ki), LineId(j, kj))
+        try:
+            seed = make_crossing(spec, LineId(i, ki), LineId(j, kj))
+        except OverflowError:
+            raise ValidationError(
+                "--tile line indices ki, kj must lie within float range") from None
     else:
         seed = nearest_crossing(spec)
-    ball = graph.corona_sequence(spec, graph.Patch(frozenset([seed])), args.ball)
+    ball = graph.corona_layers(spec, graph.Patch(frozenset([seed])), args.ball)
     return graph.Patch(frozenset(make_crossing(spec, LineId(i, ki), LineId(j, kj))
-                                 for i, ki, j, kj in ball.corona(args.ball)))
+                                 for layer in ball for i, ki, j, kj in layer))
 
 
 def _ns(args) -> list[int]:
@@ -140,7 +146,8 @@ def _csv(write, data) -> str:
 def run(argv: list[str]) -> int:
     """Run one command; every artifact is rendered before any file is written,
     so a parse or validation error (exit 2) leaves the output directory
-    untouched.  A write error also exits 2, with one error line."""
+    untouched.  A write error also exits 2, with one error line, and leaves
+    no artifact written (see _write_all)."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -150,16 +157,46 @@ def run(argv: list[str]) -> int:
     except CoronagridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not files:   # certify writes nothing and has no --out
+        return code
     try:
-        for name, text in files.items():
-            path = args.out / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+        for path in _write_all(args.out, files):
             print(path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code
+
+
+def _write_all(out: Path, files: dict[str, str]) -> list[Path]:
+    """Write the artifacts into `out`, all or none, and return their paths.
+
+    A target taken by a directory is refused before anything is written.
+    Each artifact is written under a temporary name beside its target, and
+    the temporaries are renamed into place only once every write has
+    succeeded; on an error they are removed.  A failure during the renames
+    themselves leaves the artifacts renamed before it in place.
+    """
+    paths = [out / name for name in files]
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "an artifact's name is taken by a directory",
+                                    str(path))
+    temps: list[Path] = []
+    try:
+        for path, text in zip(paths, files.values()):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            fp = temp.open("x")
+            temps.append(temp)
+            with fp:
+                fp.write(text)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+    return paths
 
 
 def _dispatch(args) -> tuple[dict[str, str], int]:

@@ -13,9 +13,10 @@ is why coronas computed here are tiling coronas as well.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import ResourceLimit, Unreachable
@@ -83,27 +84,78 @@ def corona_step(spec: MultigridSpec, patch: Patch) -> Patch:
 class CoronaSequence:
     """Frontier-by-frontier BFS record of a corona growth run, on keys.
 
-    layers[0] holds the keys of the base patch's crossings; layers[n] the
-    keys of the crossings at graph distance exactly n from it.  corona(n)
-    is the union of layers 0..n, as keys; no reader builds a Crossing.
+    Layer 0 holds the keys of the base patch's crossings; layer n the keys
+    of the crossings at graph distance exactly n from it.  packed[n] stores
+    layer n as one flat array('q') of its keys' four integers (32 B per
+    crossing), in the order bfs_layers' frozenset iterated them; a layer
+    with a line index beyond 64 bits stays as that frozenset.  layer(n)
+    decodes layer n in that order, and corona(n) is the union of layers
+    0..n, as keys; no reader builds a Crossing.
     """
 
     base: Patch
     spec: MultigridSpec
-    layers: tuple[frozenset[Key], ...]
+    packed: tuple[array | frozenset[Key], ...]
 
     @property
     def n_max(self) -> int:
-        return len(self.layers) - 1
+        return len(self.packed) - 1
+
+    def layer(self, n: int) -> Iterator[Key]:
+        """The keys of layer n, in the order they were packed."""
+        if not 0 <= n <= self.n_max:
+            raise IndexError(f"layer index {n} not in [0, {self.n_max}]")
+        packed = self.packed[n]
+        if isinstance(packed, array):
+            return zip(*[iter(packed)] * 4)
+        return iter(packed)
 
     def corona(self, n: int) -> frozenset[Key]:
         if not 0 <= n <= self.n_max:
             raise IndexError(f"corona index {n} not in [0, {self.n_max}]")
-        return frozenset().union(*self.layers[:n + 1])
+        return frozenset(chain.from_iterable(map(self.layer, range(n + 1))))
 
     def sizes(self) -> list[int]:
         """Cumulative corona sizes |P_0|, |P_1|, ..."""
-        return list(accumulate(len(layer) for layer in self.layers))
+        return list(accumulate(len(p) // 4 if isinstance(p, array) else len(p)
+                               for p in self.packed))
+
+
+def _pack(layer: frozenset[Key]) -> array | frozenset[Key]:
+    """A layer's keys as one flat array('q') in its iteration order, or the
+    layer itself when a line index does not fit in 64 bits."""
+    try:
+        return array("q", list(chain.from_iterable(layer)))
+    except OverflowError:
+        return layer
+
+
+def corona_layers(
+    spec: MultigridSpec,
+    patch: Patch,
+    n_max: int,
+    max_crossings: int | None = None,
+) -> Iterator[frozenset[Key]]:
+    """The first n_max + 1 layers of bfs_layers from the patch's keys, as
+    frozensets of crossing keys (empty past a finite graph's last layer).
+
+    Only the layers bfs_layers needs are held, so a consumer that does not
+    keep them walks in memory proportional to the frontier.  A layer that
+    takes the running total past the crossing cap (default from
+    $CORONAGRID_MAX_CROSSINGS) raises ResourceLimit instead of being
+    yielded; the base patch itself is never refused.
+    """
+    cap = default_crossing_cap() if max_crossings is None else max_crossings
+    layers = bfs_layers((c.key for c in patch.crossings),
+                        partial(frontier_neighbor_keys, spec))
+    total = 0
+    for n in range(n_max + 1):
+        layer = next(layers, frozenset())
+        total += len(layer)
+        if n and total > cap:
+            raise ResourceLimit(
+                f"corona growth exceeded {cap} crossings (set ${CAP_ENV})")
+        yield layer
 
 
 def corona_sequence(
@@ -112,26 +164,14 @@ def corona_sequence(
     n_max: int,
     max_crossings: int | None = None,
 ) -> CoronaSequence:
-    """Grow n_max coronas from the patch: the first n_max + 1 layers of
-    bfs_layers, walked and kept as crossing keys.
+    """Grow n_max coronas from the patch: the layers of corona_layers, each
+    packed as it arrives, so the run holds 32 B per crossing of the ball
+    plus the frontier layers bfs_layers is working on.
 
-    Memory is proportional to the explored region only; exceeding the
-    crossing cap (default from $CORONAGRID_MAX_CROSSINGS) raises
-    ResourceLimit.
+    Exceeding the crossing cap raises ResourceLimit, as in corona_layers.
     """
-    cap = default_crossing_cap() if max_crossings is None else max_crossings
-    layers = bfs_layers((c.key for c in patch.crossings),
-                        partial(frontier_neighbor_keys, spec))
-    kept = []
-    total = 0
-    for n in range(n_max + 1):
-        layer = next(layers, frozenset())
-        total += len(layer)
-        if n and total > cap:   # the base patch itself is never refused
-            raise ResourceLimit(
-                f"corona growth exceeded {cap} crossings (set ${CAP_ENV})")
-        kept.append(layer)
-    return CoronaSequence(patch, spec, tuple(kept))
+    layers = corona_layers(spec, patch, n_max, max_crossings)
+    return CoronaSequence(patch, spec, tuple(map(_pack, layers)))
 
 
 def graph_distance(

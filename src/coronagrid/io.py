@@ -316,8 +316,9 @@ def corona_scene(
     palette = greyscale_palette(seq.n_max + 1)
     keys: list[Key] = []
     fills: list[str] = []
-    for n, layer in enumerate(seq.layers):
-        keys += sorted(layer)
+    for n in range(seq.n_max + 1):
+        layer = sorted(seq.layer(n))
+        keys += layer
         fills += [palette[n]] * len(layer)
     corners, _, positions = corner_tables(spec, keys)
     layers: list[Layer] = [TilesLayer(tuple(zip(corner_cycles(corners, positions), fills)))]
@@ -359,8 +360,10 @@ def write_charpoly_csv(polys: Sequence[CharPolygon], fp: TextIO) -> None:
 
 def write_frontiers_csv(seq: CoronaSequence, fp: TextIO) -> None:
     fp.write("n,frontier_size,cumulative_size\n")
-    for n, (layer, total) in enumerate(zip(seq.layers, seq.sizes())):
-        fp.write(f"{n},{len(layer)},{total}\n")
+    previous = 0
+    for n, total in enumerate(seq.sizes()):
+        fp.write(f"{n},{total - previous},{total}\n")
+        previous = total
 
 
 def write_tiles_csv(window: TilingWindow, fp: TextIO) -> None:

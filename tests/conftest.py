@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -47,3 +49,24 @@ def count_constructions(monkeypatch):
         monkeypatch.setattr(Crossing, "__init__", counted)
         return counts
     return start
+
+
+@pytest.fixture
+def traced_memory():
+    """Call it with a function and its arguments: it runs the call under
+    tracemalloc and returns (result, bytes held, peak bytes), both counted
+    from the start of the call.  The held bytes are read after a full
+    collection, which also empties the interpreter's free lists, so they
+    count what the result keeps alive."""
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            gc.collect()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held - start, peak - start
+    return measure

@@ -9,7 +9,7 @@ from coronagrid import analysis, certify, geom, graph, multigrid as mg
 from coronagrid.cli import run
 from coronagrid.dual import linear_dual
 from coronagrid.errors import (CoronagridError, DegenerateInput, GridNotRepresented, NotACrossing,
-                               SingularMultigrid)
+                               ResourceLimit, SingularMultigrid)
 from coronagrid.geom import cross, perp
 from coronagrid.multigrid import MultigridSpec
 
@@ -166,6 +166,61 @@ def test_convergence_rows_equal_hulls_of_whole_coronas(spec, side):
         want.append(analysis.ConvergenceRow(n, side, hull,
                                             geom.hausdorff_distance(hull, target)))
     assert analysis.convergence_table(spec, seq.base, ns, side, sequence=seq) == want
+
+
+@pytest.mark.parametrize("side", ["multigrid", "tiling"])
+@pytest.mark.parametrize("spec", [MultigridSpec.dfold(5, 0.5)]
+                         + [certify.random_multigrid(d, 60 + d) for d in (4, 6, 7)])
+def test_streamed_convergence_rows_equal_collected(spec, side):
+    """Without a sequence the table streams its layers from corona_layers;
+    its rows equal those read from a collected corona_sequence, h bit for
+    bit."""
+    patch = graph.Patch(frozenset([mg.nearest_crossing(spec)]))
+    ns = [1, 5, 5, 20, 30]
+    want = analysis.convergence_table(spec, patch, ns, side,
+                                      sequence=graph.corona_sequence(spec, patch, 30))
+    got = analysis.convergence_table(spec, patch, ns, side)
+    assert [(r.n, r.h.hex(), r.hull_vertices) for r in got] == \
+        [(r.n, r.h.hex(), r.hull_vertices) for r in want]
+    assert got == want
+
+
+@pytest.mark.parametrize("side", ["multigrid", "tiling"])
+def test_streamed_convergence_table_refuses_at_the_cap(pentagrid, monkeypatch, side):
+    """Under $CORONAGRID_MAX_CROSSINGS the streamed table raises the
+    ResourceLimit of corona_sequence, after expanding the same layers."""
+    patch = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
+    expanded = []
+
+    def counting(spec, layer):
+        expanded.append(len(layer))
+        return mg.frontier_neighbor_keys(spec, layer)
+
+    monkeypatch.setattr(graph, "frontier_neighbor_keys", counting)
+    monkeypatch.setenv("CORONAGRID_MAX_CROSSINGS", "500")
+    with pytest.raises(ResourceLimit) as collected:
+        graph.corona_sequence(pentagrid, patch, 40)
+    collected_layers = list(expanded)
+    expanded.clear()
+    with pytest.raises(ResourceLimit) as streamed:
+        analysis.convergence_table(pentagrid, patch, [10, 40], side)
+    assert expanded == collected_layers and len(expanded) > 10
+    assert str(streamed.value) == str(collected.value)
+
+
+def test_streamed_convergence_table_holds_the_frontier(pentagrid, traced_memory):
+    """Without a sequence the table to n=120 peaks well below the 32 B per
+    crossing a packed corona_sequence to n=120 keeps: each layer is dropped
+    once its points are in the hull.  (The multigrid side at n=120 keeps
+    the traced run to a few seconds; the layers stream the same way on both
+    sides.)"""
+    patch = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
+    seq = graph.corona_sequence(pentagrid, patch, 120)
+    held = sum(map(sys.getsizeof, seq.packed))
+    del seq
+    _, _, peak = traced_memory(analysis.convergence_table, pentagrid, patch, [10, 120],
+                               "multigrid")
+    assert peak < held * 3 / 4
 
 
 # endpoints -------------------------------------------------------------------

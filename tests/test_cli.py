@@ -1,5 +1,6 @@
 import ast
 import csv
+import errno
 import hashlib
 import re
 import subprocess
@@ -134,6 +135,57 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def test_failed_write_leaves_the_output_directory_unchanged(tmp_path, capsys, monkeypatch):
+    """Artifacts are written all or none: a later artifact's name taken by a
+    directory is refused before the first write, and a failure of the k-th
+    write, for every k, removes the temporaries already written."""
+    out = tmp_path / "d"
+    (out / "charpoly.svg").mkdir(parents=True)
+    assert run(["charpoly", "--dfold", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "charpoly.svg" in err, err
+    assert [p.name for p in out.iterdir()] == ["charpoly.svg"]
+
+    (out / "charpoly.svg").rmdir()
+    real_open = Path.open
+    for k in (1, 2):
+        opened = []
+
+        def full_disk_on_kth(self, mode="r", *args, **kwargs):
+            if mode == "x":
+                opened.append(self.name)
+                if len(opened) == k:
+                    raise OSError(errno.ENOSPC, "No space left on device", str(self))
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", full_disk_on_kth)
+        assert run(["charpoly", "--dfold", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert len(opened) == k and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["converge", "corona", "endpoints"])
+def test_tile_level_beyond_float_range_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    tile = f"0,1,{10**400},0"
+    assert run([command, "--dfold", "5", "--n", "3", "--tile", tile, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tile ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_far_out_seed_refused_as_before(tmp_path, capsys):
+    """A seed line index beyond 64 bits (kept unpacked) grows to the same
+    refusal as ever."""
+    out = tmp_path / "out"
+    assert run(["corona", "--dfold", "5", "--tile", "0,1,100000000000000000000,0",
+                "--n", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: two crossings coincide on line LineId(grid=1, k=0) "), err
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_offsets_outside_the_unit_interval_fold_with_a_warning(tmp_path):

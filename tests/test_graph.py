@@ -1,6 +1,9 @@
 import cmath
 import math
+from array import array
+from functools import partial
 from io import StringIO
+from itertools import accumulate, chain, islice
 from random import Random
 
 import pytest
@@ -105,11 +108,12 @@ def test_frontiers_partition_and_match_bfs_distance(pentagrid):
     seed = mg.nearest_crossing(pentagrid)
     seq = graph.corona_sequence(pentagrid, graph.Patch(frozenset([seed])), 8)
     seen = set()
-    for layer in seq.layers:
+    for n in range(seq.n_max + 1):
+        layer = frozenset(seq.layer(n))
         assert not (layer & seen)
         seen |= layer
     rng = Random(2)
-    members = [(n, key) for n, layer in enumerate(seq.layers) for key in sorted(layer)]
+    members = [(n, key) for n in range(seq.n_max + 1) for key in sorted(seq.layer(n))]
     for n, key in rng.sample(members, 25):
         assert graph.graph_distance(pentagrid, seed, crossing_of(pentagrid, key), cap=12) == n
 
@@ -148,8 +152,8 @@ def test_layers_and_distance_match_visited_set_bfs(spec, n_max, data):
     except mg.SingularMultigrid:
         assume(False)
     seq = graph.corona_sequence(spec, graph.Patch(frozenset([seed])), n_max)
-    for n, layer in enumerate(seq.layers):
-        assert layer == {c.key for c, k in dist.items() if k == n}
+    for n in range(seq.n_max + 1):
+        assert set(seq.layer(n)) == {c.key for c, k in dist.items() if k == n}
     members = sorted(dist, key=lambda c: c.key)
     for c in data.draw(st.lists(st.sampled_from(members), max_size=5)):
         if dist[c] <= n_max:
@@ -341,8 +345,8 @@ def test_frontier_neighbor_keys_hand_off_bound(monkeypatch, key, handed_off):
 
 
 def test_frontier_growth_is_linear(pentagrid_run):
-    f40 = len(pentagrid_run.layers[40])
-    f80 = len(pentagrid_run.layers[80])
+    f40 = len(list(pentagrid_run.layer(40)))
+    f80 = len(list(pentagrid_run.layer(80)))
     assert 1.7 <= f80 / f40 <= 2.3
 
 
@@ -352,12 +356,56 @@ def test_corona_is_union_of_layers(spec):
     base patch's keys."""
     seed = mg.nearest_crossing(spec)
     seq = graph.corona_sequence(spec, graph.Patch(frozenset([seed])), 12)
-    assert seq.layers[0] == {seed.key}
+    assert list(seq.layer(0)) == [seed.key]
     for n in range(seq.n_max + 1):
-        assert seq.corona(n) == frozenset().union(*seq.layers[:n + 1])
+        assert seq.corona(n) == frozenset().union(*map(seq.layer, range(n + 1)))
         assert len(seq.corona(n)) == seq.sizes()[n]
     with pytest.raises(IndexError):
         seq.corona(seq.n_max + 1)
+    with pytest.raises(IndexError):
+        seq.layer(seq.n_max + 1)
+
+
+@given(spec=st.one_of(st.just(mg.MultigridSpec.dfold(5, 0.5)),
+                      st.builds(random_multigrid, st.integers(3, 9), st.integers(0, 10**6))),
+       n_max=st.integers(0, 30))
+def test_packed_layers_decode_in_bfs_order(spec, n_max):
+    """Each layer is packed as a flat array in the order bfs_layers'
+    frozenset iterates it, and decodes in that order; corona(n) and sizes()
+    read the same keys."""
+    seed = mg.nearest_crossing(spec)
+    try:
+        seq = graph.corona_sequence(spec, graph.Patch(frozenset([seed])), n_max)
+    except mg.SingularMultigrid:
+        assume(False)
+    want = list(islice(graph.bfs_layers([seed.key], partial(mg.frontier_neighbor_keys, spec)),
+                       n_max + 1))
+    assert len(want) == seq.n_max + 1
+    assert all(isinstance(packed, array) for packed in seq.packed)
+    for n, layer in enumerate(want):
+        assert list(seq.layer(n)) == list(layer)
+        assert seq.corona(n) == frozenset().union(*want[:n + 1])
+    assert seq.sizes() == list(accumulate(map(len, want)))
+
+
+def test_far_out_layer_is_kept_as_its_frozenset(pentagrid):
+    """A line index beyond 64 bits does not fit the packed array: that
+    layer stays the frozenset bfs_layers gave, and reads the same."""
+    key = (0, 10**20, 1, 0)
+    seq = graph.corona_sequence(pentagrid, graph.Patch(frozenset([crossing_of(pentagrid, key)])), 0)
+    assert seq.packed == (frozenset([key]),)
+    assert list(seq.layer(0)) == [key]
+    assert seq.corona(0) == {key}
+    assert seq.sizes() == [1]
+
+
+def test_packed_sequence_holds_32_bytes_per_crossing(pentagrid, traced_memory):
+    """A run to n=80 keeps its keys' four integers and little else: about
+    32 B per crossing, where a frozenset of 4-tuples took about 120 B."""
+    patch = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
+    graph.corona_sequence(pentagrid, patch, 2)   # the spec's lazy tables, outside the count
+    seq, held, _ = traced_memory(graph.corona_sequence, pentagrid, patch, 80)
+    assert held / seq.sizes()[-1] <= 36
 
 
 def test_key_consumers_build_no_crossings(pentagrid, count_constructions):
@@ -369,7 +417,8 @@ def test_key_consumers_build_no_crossings(pentagrid, count_constructions):
     for side in ("multigrid", "tiling"):
         analysis.convergence_table(pentagrid, seed, [5, 10], side, sequence=seq)
     cio.write_frontiers_csv(seq, StringIO())
-    assert seq.sizes()[-1] == sum(map(len, seq.layers)) == len(seq.corona(10))
+    assert seq.sizes()[-1] == len(list(chain.from_iterable(map(seq.layer, range(11))))) \
+        == len(seq.corona(10))
     assert counts == {}
 
 
