@@ -199,7 +199,7 @@ def check_edge_to_edge(spec: MultigridSpec, radius: float) -> str:
     window rim where partners of a tile may fall outside the window.
     """
     window = tiling_window(spec, radius)
-    keys = window.keys
+    keys = list(window.keys())
     cycles = corner_cycles(window.corners, window.positions)
     for key, pts in zip(keys, cycles):
         for k in range(4):
@@ -324,12 +324,8 @@ def crit_sandpile_corona() -> str:
     final = sandpile.add_grain_and_topple(config, at, rounds=10)
     assert final.total_grains() == total_before, "grains were not conserved"
     seq = graph.corona_sequence(PENTAGRID, graph.Patch(frozenset([at])), 9)
-    for n in range(1, 11):
-        toppled = final.toppled_by(n)
-        corona = seq.corona(n - 1)
-        assert toppled == corona, \
-            (f"round {n}: toppled set ({len(toppled)}) != corona P_{n-1} "
-             f"({len(corona)})")
+    for n, toppled, corona, match in sandpile.corona_comparison(final, seq, 10):
+        assert match, f"round {n}: toppled set ({toppled}) != corona P_{n-1} ({corona})"
     return f"rounds 1..10 match coronas P_0..P_9 exactly ({len(final.toppled_rounds)} topplings)"
 
 

@@ -40,8 +40,16 @@ def _add_seed_args(p: argparse.ArgumentParser) -> None:
                    help="grow the seed by this many corona steps first")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ValidationErrors, so a bad
+    argument exits 2 with one `error:` line, like every other refusal."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="coronagrid", description=__doc__)
+    ap = _Parser(prog="coronagrid", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="build a tiling window, export CSV + SVG")
@@ -150,10 +158,9 @@ def run(argv: list[str]) -> int:
     no artifact written (see _write_all)."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         files, code = _dispatch(args)
+    except SystemExit:   # --help printed the usage
+        return 0
     except CoronagridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -248,13 +255,10 @@ def _dispatch(args) -> tuple[dict[str, str], int]:
         lines = [f"window radius {args.radius}: {len(window)} tiles",
                  f"grain at {at.key}, {args.rounds} synchronous rounds"]
         all_match = True
-        for n in range(1, args.rounds + 1):
-            toppled = final.toppled_by(n)
-            corona = seq.corona(n - 1)
-            match = toppled == corona
+        for n, toppled, corona, match in sandpile.corona_comparison(final, seq, args.rounds):
             all_match &= match
-            lines.append(f"round {n:>3}: toppled {len(toppled):>6}  "
-                         f"corona P_{n-1} {len(corona):>6}  "
+            lines.append(f"round {n:>3}: toppled {toppled:>6}  "
+                         f"corona P_{n-1} {corona:>6}  "
                          f"{'match' if match else 'MISMATCH'}")
         lines.append("equivalence: " + ("exact" if all_match else "FAILED"))
         return {"sandpile_report.txt": "\n".join(lines) + "\n"}, 0 if all_match else 1

@@ -13,10 +13,12 @@ integer comparison, immune to floating point accumulation.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import OnGridLine, SingularMultigrid
 from .geom import EPS_GEOM, scalar_product
@@ -122,31 +124,57 @@ def tile_of_crossing(
 
 @dataclass
 class TilingWindow:
-    """All tiles dual to crossings within `radius` of the origin, as tables.
+    """All tiles dual to crossings within `radius` of the origin, as packed
+    tables.
 
-    Tile n is dual to the crossing with key ``keys[n]``, in window_keys
-    order (that of enumerate_crossings); ``corners``, ``vertex_keys`` and
-    ``positions`` are corner_tables' tables for those keys.  The tile set is
+    Tile n is dual to the crossing with key ``key(n)``; ``keys()`` iterates
+    the keys in window_keys order (that of enumerate_crossings), and
+    ``index(key)`` finds a key's tile.  ``corners[4n:4n + 4]`` index tile
+    n's corners, in corner_tables' boundary order, into the vertex table:
+    ``vertex_keys()`` iterates the vertex keys, and vertex m lies at
+    ``positions[m]``.  ``key_order`` lists the tile indices sorted
+    by crossing key.  The keys (4 ints per tile), the corners, the vertex
+    keys (d ints per vertex) and ``key_order`` are flat array('q') tables,
+    and only this class reads the key layouts: with the positions, a
+    radius-30 pentagrid window holds about 157 B per tile.  The tile set is
     crossing-ball shaped (selected by crossing position), matching the
     graph exploration, so vertex positions may exceed the nominal radius by
     the linear-dual stretch factor.  Immutable by convention once built.
-    The writers, the sandpile and the edge-to-edge audit read the tables.
+    The writers, the scene, the sandpile and the edge-to-edge audit read
+    the tables.
     """
 
     spec: MultigridSpec
     radius: float
-    keys: list[Key]
-    corners: list[int]
-    vertex_keys: list[tuple[int, ...]]
+    _keys: array
+    corners: array
+    _vertex_keys: array
     positions: list[complex]
+    key_order: array
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self._keys) // 4
 
-    @cached_property
-    def key_order(self) -> list[int]:
-        """Tile indices sorted by crossing key."""
-        return sorted(range(len(self.keys)), key=self.keys.__getitem__)
+    def key(self, n: int) -> Key:
+        """The key of tile n's crossing."""
+        k, q = self._keys, 4 * n
+        return k[q], k[q + 1], k[q + 2], k[q + 3]
+
+    def keys(self) -> Iterator[Key]:
+        """The tiles' crossing keys, in tile order."""
+        return zip(*[iter(self._keys)] * 4)
+
+    def index(self, key: Key) -> int:
+        """The tile of the crossing with this key; ValueError if none."""
+        order = self.key_order
+        pos = bisect_left(order, key, key=self.key)
+        if pos == len(order) or self.key(order[pos]) != key:
+            raise ValueError(f"{key} is not a window tile")
+        return order[pos]
+
+    def vertex_keys(self) -> Iterator[tuple[int, ...]]:
+        """The vertex keys, in vertex order."""
+        return zip(*[iter(self._vertex_keys)] * self.spec.d)
 
 
 def tiling_window(spec: MultigridSpec, radius: float) -> TilingWindow:
@@ -154,9 +182,15 @@ def tiling_window(spec: MultigridSpec, radius: float) -> TilingWindow:
 
     The crossing keys come straight from the window's lines (window_keys),
     and one corner_tables pass gives every tile's corners, so each vertex is
-    positioned once and no Crossing is built.  Raises ValidationError and
-    ResourceLimit as window_keys does, and SingularMultigrid if any crossing
-    in the window has a third line within EPS_SINGULAR.
+    positioned once and no Crossing is built; the tables are then packed
+    once.  Raises ValidationError and ResourceLimit as window_keys does, and
+    SingularMultigrid if any crossing in the window has a third line within
+    EPS_SINGULAR.
     """
     keys = window_keys(spec, radius)
-    return TilingWindow(spec, radius, keys, *corner_tables(spec, keys))
+    order = array("q", sorted(range(len(keys)), key=keys.__getitem__))
+    packed = array("q", chain.from_iterable(keys))
+    del keys   # the list of key tuples is the largest table: free it first
+    corners, vertex_keys, positions = corner_tables(spec, zip(*[iter(packed)] * 4))
+    return TilingWindow(spec, radius, packed, array("q", corners),
+                        array("q", chain.from_iterable(vertex_keys)), positions, order)

@@ -22,10 +22,10 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .analysis import CharPolygon, ConvergenceRow, EndpointRow
-from .dual import TilingWindow, corner_cycles, corner_tables
+from .dual import TilingWindow, corner_tables
 from .errors import EmptyScene, ParseError, ValidationError
 from .graph import CoronaSequence
 from .multigrid import Key, MultigridSpec, check_grid_count, fold_offset
@@ -207,7 +207,15 @@ TYPE_FILLS = ["#c6dbef", "#fdd0a2", "#c7e9c0", "#dadaeb", "#f2b8c6",
 
 @dataclass(frozen=True)
 class TilesLayer:
-    tiles: tuple[tuple[tuple[complex, ...], str], ...]  # (corner cycle, fill)
+    """Rhombi as tables: ``corners[4n:4n + 4]`` index tile n's corners, in
+    boundary order, into ``positions``; ``fills[n]`` is its fill, and the
+    tiles are drawn in ``order``.  A scene builder passes the tables it
+    reads (a window's, corner_tables') without copying them."""
+
+    positions: Sequence[complex]
+    corners: Sequence[int]
+    fills: Sequence[str]
+    order: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -232,19 +240,9 @@ class SceneSpec:
             raise ValidationError("viewport radius must be > 0")
 
 
-def _path(points: Iterable[complex], cells: dict[complex, str]) -> str:
-    """Closed SVG path through the points.  ``cells`` caches the text of
-    each point shared by several paths; a point with a zero coordinate is
-    not cached, because 0.0 and -0.0 compare equal but format apart."""
-    out = []
-    for p in points:
-        cell = cells.get(p)
-        if cell is None:
-            cell = f"{p.real:.6f} {-p.imag:.6f}"
-            if p.real and p.imag:
-                cells[p] = cell
-        out.append(cell)
-    return "M" + " L".join(out) + " Z"
+def _cell(p: complex) -> str:
+    """A point's text in a path, y flipped."""
+    return f"{p.real:.6f} {-p.imag:.6f}"
 
 
 def render_svg(scene: SceneSpec) -> str:
@@ -252,11 +250,13 @@ def render_svg(scene: SceneSpec) -> str:
 
     Pure function of the scene: identical scenes give identical bytes.
     The y axis is flipped at emission so the math convention (y up) holds.
+    A tiles layer's vertex texts are formatted once per entry of its
+    position table, each from its own value (so 0.0 and -0.0 entries print
+    apart), and every path is joined from its corners' texts by index.
     """
     if not scene.layers or all(_layer_empty(layer) for layer in scene.layers):
         raise EmptyScene("scene has no content to render")
     r = scene.radius
-    cells: dict[complex, str] = {}
     tile_w = r / 300.0
     line_w = 2 * tile_w
     out = [
@@ -270,39 +270,44 @@ def render_svg(scene: SceneSpec) -> str:
         if isinstance(layer, TilesLayer):
             out.append(f'<g stroke="#333333" stroke-width="{_fmt(tile_w)}" '
                        f'stroke-linejoin="round">')
-            for corners, fill in layer.tiles:
-                out.append(f'<path d="{_path(corners, cells)}" fill="{fill}"/>')
+            cells = list(map(_cell, layer.positions))
+            corners, fills = layer.corners, layer.fills
+            for n in layer.order:
+                a, b, c, e = corners[4 * n:4 * n + 4]
+                out.append(f'<path d="M{cells[a]} L{cells[b]} L{cells[c]} L{cells[e]} Z" '
+                           f'fill="{fills[n]}"/>')
+            # the joined document is the peak of memory: free the texts first
+            del cells
             out.append("</g>")
         else:
             dash = (f' stroke-dasharray="{_fmt(4 * line_w)} {_fmt(3 * line_w)}"'
                     if layer.dashed else "")
-            out.append(f'<path d="{_path(layer.vertices, cells)}" fill="none" '
+            path = "M" + " L".join(map(_cell, layer.vertices)) + " Z"
+            out.append(f'<path d="{path}" fill="none" '
                        f'stroke="{layer.color}" stroke-width="{_fmt(line_w)}"{dash}/>')
-    # The joined document is the peak of memory: hold neither the text cache
-    # nor a second copy of the document alongside it.
-    del cells
     out += ["</svg>", ""]
     return "\n".join(out)
 
 
 def _layer_empty(layer: Layer) -> bool:
-    return not (layer.tiles if isinstance(layer, TilesLayer) else layer.vertices)
+    return not (layer.order if isinstance(layer, TilesLayer) else layer.vertices)
 
 
 # scene builders ------------------------------------------------------------
 
 def tiling_scene(window: TilingWindow) -> SceneSpec:
-    """Window tiles in crossing-key order, filled by crossing type (grid pair)."""
+    """Window tiles in crossing-key order, filled by crossing type (grid
+    pair).  The layer holds the window's own position, corner and key-order
+    tables, and one fill reference per tile."""
     spec = window.spec
     fills = {}
     for i in range(spec.d):
         for j in range(i + 1, spec.d):
             fills[(i, j)] = TYPE_FILLS[len(fills) % len(TYPE_FILLS)]
-    keys = window.keys
-    cycles = corner_cycles(window.corners, window.positions)
-    tiles = tuple((cycles[n], fills[keys[n][0], keys[n][2]]) for n in window.key_order)
+    tile_fills = [fills[i, j] for i, _, j, _ in window.keys()]
     extent = window.radius * spec.d / 2 + 2.0
-    return SceneSpec(extent, (TilesLayer(tiles),))
+    return SceneSpec(extent, (TilesLayer(window.positions, window.corners, tile_fills,
+                                         window.key_order),))
 
 
 def corona_scene(
@@ -321,7 +326,7 @@ def corona_scene(
         keys += layer
         fills += [palette[n]] * len(layer)
     corners, _, positions = corner_tables(spec, keys)
-    layers: list[Layer] = [TilesLayer(tuple(zip(corner_cycles(corners, positions), fills)))]
+    layers: list[Layer] = [TilesLayer(positions, corners, fills, range(len(fills)))]
     extent = max([1.0, *map(abs, positions)])
     if overlay is not None:
         layers.append(PolygonLayer(tuple(overlay.scaled_vertices(seq.n_max))))
@@ -377,11 +382,11 @@ def write_tiles_csv(window: TilingWindow, fp: TextIO) -> None:
     head += [f"key{q}" for q in range(4)]
     head += [x for q in range(4) for x in (f"x{q}", f"y{q}")]
     fp.write(",".join(head) + "\n")
-    key_cells = [" ".join(map(str, key)) for key in window.vertex_keys]
+    key_cells = [" ".join(map(str, key)) for key in window.vertex_keys()]
     xy_cells = [f"{p.real!r},{p.imag!r}" for p in window.positions]
-    keys, corners = window.keys, window.corners
+    key, corners = window.key, window.corners
     for n in window.key_order:
-        i, ki, j, kj = keys[n]
+        i, ki, j, kj = key(n)
         a, b, c, e = corners[4 * n:4 * n + 4]
         fp.write(f"{i},{j},{ki},{kj},{key_cells[a]},{key_cells[b]},{key_cells[c]},"
                  f"{key_cells[e]},{xy_cells[a]},{xy_cells[b]},{xy_cells[c]},{xy_cells[e]}\n")

@@ -14,18 +14,22 @@ is exactly conserved.
 
 The state is held on tile indices, in the window's tile order: neighbor
 lists, grain counts and first-toppling rounds.  A toppled set is handed out
-as the window's crossing keys, the form CoronaSequence.corona gives.
+as the window's crossing keys, the form CoronaSequence.corona gives, and
+corona_comparison holds both against each other round by round.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .dual import TilingWindow
 from .errors import BoundaryContamination, ValidationError
-from .graph import bfs_layers
+from .graph import CoronaSequence, bfs_layers
 from .multigrid import Crossing, Key
 
 
@@ -43,7 +47,7 @@ def window_adjacency(window: TilingWindow) -> list[tuple[int, ...]]:
     offsets, dots, crosses = spec.offsets, spec._dots, spec._crosses
     # entry (t, slot): neighbor slots slot (up) and slot + 1 (down) of tile slot // 4
     on_line: dict[tuple[int, int], list[tuple[float, int]]] = {}
-    for n, (i, ki, j, kj) in enumerate(window.keys):
+    for n, (i, ki, j, kj) in enumerate(window.keys()):
         ri, rj = offsets[i] + ki, offsets[j] + kj
         ta = (kj - (ri * dots[i][j] - offsets[j])) / crosses[i][j]
         tb = (ki - (rj * dots[j][i] - offsets[i])) / crosses[j][i]
@@ -72,10 +76,18 @@ class SandpileConfig:
     def total_grains(self) -> int:
         return sum(self.grains)
 
+    @cached_property
+    def _toppled(self) -> tuple[list[int], list[Key]]:
+        """The toppled tiles' first rounds, ascending, and their crossing
+        keys in that order: each key is decoded from the window once."""
+        order = sorted(self.toppled_rounds.items(), key=itemgetter(1))
+        key = self.window.key
+        return [r for _, r in order], [key(n) for n, _ in order]
+
     def toppled_by(self, round_n: int) -> frozenset[Key]:
         """Keys of the tiles that toppled in rounds 1..round_n."""
-        keys = self.window.keys
-        return frozenset(keys[n] for n, r in self.toppled_rounds.items() if r <= round_n)
+        rounds, keys = self._toppled
+        return frozenset(keys[:bisect_right(rounds, round_n)])
 
 
 def max_stable(window: TilingWindow) -> SandpileConfig:
@@ -107,9 +119,9 @@ def add_grain_and_topple(
     and their neighbors can have become unstable (every other tile neither
     gained nor lost grains), so each round scans just those, in window order.
     """
-    keys, neighbors = config.window.keys, config.neighbors
+    window, neighbors = config.window, config.neighbors
     try:
-        start = keys.index(at.key)
+        start = window.index(at.key)
     except ValueError:
         raise ValidationError(f"tile {at.key} is not in the window") from None
     if len(neighbors[start]) < 4:
@@ -118,7 +130,7 @@ def add_grain_and_topple(
     grains[start] += 1
     toppled_rounds = dict(config.toppled_rounds)
     halo = _boundary_halo(neighbors)
-    candidates: Iterable[int] = range(len(keys))
+    candidates: Iterable[int] = range(len(window))
     for round_n in range(1, rounds + 1):
         # degree-0 tiles (clipped window corners) are inert, not avalanching
         topplers = [n for n in candidates if 0 < len(neighbors[n]) <= grains[n]]
@@ -128,7 +140,7 @@ def add_grain_and_topple(
         if contaminated:
             raise BoundaryContamination(
                 f"round {round_n}: avalanche reached within distance 2 of the "
-                f"window boundary at {keys[min(contaminated)]}; grow the window")
+                f"window boundary at {window.key(min(contaminated))}; grow the window")
         active = set(topplers)
         for n in topplers:
             nbs = neighbors[n]
@@ -138,4 +150,27 @@ def add_grain_and_topple(
             active.update(nbs)
             toppled_rounds.setdefault(n, round_n)
         candidates = sorted(active)
-    return SandpileConfig(config.window, neighbors, grains, toppled_rounds)
+    return SandpileConfig(window, neighbors, grains, toppled_rounds)
+
+
+def corona_comparison(
+    config: SandpileConfig, seq: CoronaSequence, rounds: int,
+) -> Iterator[tuple[int, int, int, bool]]:
+    """Per round n = 1..rounds: (n, |toppled_by(n)|, |seq.corona(n - 1)|,
+    whether the two key sets are equal).
+
+    Both sets are running unions: the toppled set grows by the tiles that
+    first toppled in round n, and the corona by seq.layer(n - 1), so each
+    toppled key and each layer is decoded once.  seq must hold layers
+    0..rounds - 1.
+    """
+    first, keys = config._toppled
+    toppled: set[Key] = set()
+    corona: set[Key] = set()
+    done = 0
+    for n in range(1, rounds + 1):
+        upto = bisect_right(first, n)
+        toppled.update(keys[done:upto])
+        done = upto
+        corona.update(seq.layer(n - 1))
+        yield n, len(toppled), len(corona), toppled == corona

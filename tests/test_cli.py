@@ -1,18 +1,25 @@
 import ast
+import contextlib
 import csv
 import errno
 import hashlib
+import io
+import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 import coronagrid
 from coronagrid import graph
 from coronagrid.cli import run
-from coronagrid.multigrid import frontier_neighbor_keys
+from coronagrid.multigrid import CAP_ENV, frontier_neighbor_keys
 
 
 def test_charpoly_artifacts(tmp_path):
@@ -238,6 +245,67 @@ def test_ball_over_the_crossing_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert "exceeded 100 crossings" in err and "CORONAGRID_MAX_CROSSINGS" in err
     assert not out.exists()
     assert 0 < len(expanded) <= 10 and sum(expanded) <= 100
+
+
+# --radius, --rounds, --offsets and $CORONAGRID_MAX_CROSSINGS each draw a
+# workable value two times in three, else a bad one: negative, zero, nan,
+# inf, huge, non-numeric or empty
+BAD = ["-2", "-0.5", "0", "nan", "inf", "-inf", "1e300", "99999999999999999999", "abc", ""]
+BAD_CAPS = ["0", "60", "-1", "abc", "1.5", ""]
+SPECS = [("--dfold", "5"), ("--dfold", "3"), ("--angles", "0,90"), ("--angles", "0,45,90,135")]
+
+
+def drawn(good, bad=BAD):
+    return st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from(bad))
+
+
+@st.composite
+def gen_and_sandpile_runs(draw):
+    """argv for gen or sandpile and a $CORONAGRID_MAX_CROSSINGS value (None:
+    unset).  The radius is always drawn, so no run lists a default-radius
+    window."""
+    command = draw(st.sampled_from(["gen", "sandpile"]))
+    form, value = draw(st.sampled_from(SPECS))
+    argv = [command, form, value, "--radius", draw(drawn(["0.3", "3", "6"]))]
+    if command == "sandpile":
+        argv += ["--rounds", draw(drawn(["1", "3"]))]
+    if draw(st.booleans()):
+        d = int(value) if form == "--dfold" else value.count(",") + 1
+        count = draw(st.sampled_from([1, d, 2]))
+        offsets = st.lists(drawn(["0.1", "0.25", "0.5"]), min_size=count, max_size=count)
+        argv += ["--offsets", ",".join(draw(offsets))]
+    return argv, draw(drawn([None, "3000"], BAD_CAPS))
+
+
+def tree(root: Path) -> list:
+    return sorted((str(p.relative_to(root)), p.is_dir() or p.read_bytes())
+                  for p in root.rglob("*"))
+
+
+@given(case=gen_and_sandpile_runs())
+def test_gen_and_sandpile_keep_the_exit_contract(case):
+    """Exit 0, or exit 2 with exactly one stderr line, starting with
+    `error:`, no traceback, and the --out tree as it was."""
+    argv, cap = case
+    with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ):
+        os.environ.pop(CAP_ENV, None)
+        if cap is not None:
+            os.environ[CAP_ENV] = cap
+        out = Path(root) / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("an earlier artifact\n")
+        before = tree(Path(root))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # offset folding warns; not part of the contract
+            code = run(argv + ["--out", str(out)])
+        assert code in (0, 2), (argv, cap, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+                (argv, cap, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert tree(Path(root)) == before, (argv, cap)
 
 
 def test_corona_past_195_layers(tmp_path):

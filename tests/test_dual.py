@@ -150,8 +150,9 @@ def test_window_square_block(square):
     window = dual.tiling_window(square, 2.9)
     assert len(window) == 25
     cycles = dual.corner_cycles(window.corners, window.positions)
-    for n, (_, ki, _, kj) in enumerate(window.keys):
-        assert window.vertex_keys[window.corners[4 * n]] == (ki, kj)
+    vertex_keys = list(window.vertex_keys())
+    for n, (_, ki, _, kj) in enumerate(window.keys()):
+        assert vertex_keys[window.corners[4 * n]] == (ki, kj)
         base = cycles[n][0]
         expected = [base, base + 1, base + 1 + 1j, base + 1j]
         for got, want in zip(cycles[n], expected):
@@ -177,11 +178,11 @@ def test_window_vertices_deduplicated(pentagrid):
     tile's corners are those of tile_of_crossing."""
     for spec, radius in ((pentagrid, 12.0), (random_multigrid(7, 47), 8.0)):
         window = dual.tiling_window(spec, radius)
-        assert len(set(window.vertex_keys)) == len(window.vertex_keys)
-        assert window.positions == [dual.vertex_position(spec, key)
-                                    for key in window.vertex_keys]
-        for n, key in enumerate(window.keys):
-            corners = tuple((window.vertex_keys[m], window.positions[m])
+        vertex_keys = list(window.vertex_keys())
+        assert len(set(vertex_keys)) == len(vertex_keys)
+        assert window.positions == [dual.vertex_position(spec, key) for key in vertex_keys]
+        for n, key in enumerate(window.keys()):
+            corners = tuple((vertex_keys[m], window.positions[m])
                             for m in window.corners[4 * n:4 * n + 4])
             assert corners == dual.tile_of_crossing(spec, crossing_of(spec, key))
 
@@ -199,6 +200,25 @@ def test_hot_dataclasses_are_slotted_and_round_trip(pentagrid):
     assert moved == c and hash(moved) == hash(c)
 
 
+def test_packed_window_accessors(pentagrid):
+    """key(n) and keys() decode the same keys, key_order sorts them, index
+    finds each tile and refuses a key outside the window, and the vertex
+    keys decode to d ints each."""
+    window = dual.tiling_window(pentagrid, 5.0)
+    keys = list(window.keys())
+    assert len(keys) == len(window) > 100
+    assert [window.key(n) for n in range(len(window))] == keys
+    assert window.key(-1) == keys[-1]
+    assert list(window.key_order) == sorted(range(len(keys)), key=keys.__getitem__)
+    assert [window.index(key) for key in keys] == list(range(len(keys)))
+    for outside in [(0, 0, 1, 99), (0, -99, 1, 0), (4, 0, 4, 0)]:
+        with pytest.raises(ValueError):
+            window.index(outside)
+    vertex_keys = list(window.vertex_keys())
+    assert len(vertex_keys) == len(window.positions)
+    assert all(len(key) == pentagrid.d for key in vertex_keys)
+
+
 def test_window_singular_raises():
     with pytest.raises(SingularMultigrid):
         dual.tiling_window(MultigridSpec.dfold(5, 0.0), 3.0)
@@ -206,17 +226,19 @@ def test_window_singular_raises():
 
 def test_adjacent_tiles_share_edge_iff_consecutive(pentagrid):
     window = dual.tiling_window(pentagrid, 6.0)
-    corner_keys = [window.vertex_keys[m] for m in window.corners]
+    keys = list(window.keys())
+    vertex_keys = list(window.vertex_keys())
+    corner_keys = [vertex_keys[m] for m in window.corners]
     edges = {key: {frozenset((corner_keys[4 * n + k], corner_keys[4 * n + (k + 1) % 4]))
                    for k in range(4)}
-             for n, key in enumerate(window.keys)}
+             for n, key in enumerate(keys)}
     rng = Random(9)
-    inner = [key for key, (x, y) in zip(window.keys, mg.crossing_pairs(pentagrid, window.keys))
+    inner = [key for key, (x, y) in zip(keys, mg.crossing_pairs(pentagrid, keys))
              if abs(complex(x, y)) < 4.0]
     for key in rng.sample(inner, 25):
         my_edges = edges[key]
         neighbor_set = set(mg.neighbor_keys(pentagrid, key))
-        for other in window.keys:
+        for other in keys:
             if other == key:
                 continue
             shared = my_edges & edges[other]
@@ -266,11 +288,15 @@ def reference_csv(tiles):
 
 
 def reference_svg(spec, radius, tiles):
+    """The reference tiles sorted by crossing key, each with its own four
+    position entries, filled by grid pair."""
     pairs = [(i, j) for i in range(spec.d) for j in range(i + 1, spec.d)]
     fills = cio.TYPE_FILLS
-    layer = cio.TilesLayer(tuple(
-        (points, fills[pairs.index(c.grids) % len(fills)])
-        for c, _, points in sorted(tiles, key=lambda tile: tile[0].key)))
+    tiles = sorted(tiles, key=lambda tile: tile[0].key)
+    layer = cio.TilesLayer([p for _, _, points in tiles for p in points],
+                           range(4 * len(tiles)),
+                           [fills[pairs.index(c.grids) % len(fills)] for c, _, _ in tiles],
+                           range(len(tiles)))
     return svg_outcome(cio.SceneSpec(radius * spec.d / 2 + 2.0, (layer,)))
 
 
@@ -312,14 +338,15 @@ def test_table_window_matches_per_crossing_reference(spec_radius):
         assert str(got.value) == str(exc)
         return
     window = dual.tiling_window(spec, radius)
-    assert [tile[0].key for tile in want] == window.keys
+    assert [tile[0].key for tile in want] == list(window.keys())
     cycles = dual.corner_cycles(window.corners, window.positions)
-    pairs = list(mg.crossing_pairs(spec, window.keys))
+    pairs = list(mg.crossing_pairs(spec, window.keys()))
+    vertex_keys = list(window.vertex_keys())
     for n, (c, keys, points) in enumerate(want):
         assert bits(complex(*pairs[n])) == bits(c.point)
-        assert tuple(window.vertex_keys[m] for m in window.corners[4 * n:4 * n + 4]) == keys
+        assert tuple(vertex_keys[m] for m in window.corners[4 * n:4 * n + 4]) == keys
         assert list(map(bits, cycles[n])) == list(map(bits, points))
-    assert len(set(window.vertex_keys)) == len(window.vertex_keys) \
+    assert len(set(vertex_keys)) == len(vertex_keys) \
         == len({key for _, keys, _ in want for key in keys})
     buf = StringIO()
     cio.write_tiles_csv(window, buf)

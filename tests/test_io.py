@@ -3,13 +3,13 @@ import xml.etree.ElementTree as ET
 from io import StringIO
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coronagrid import analysis, certify, graph, multigrid as mg
 from coronagrid import io as cio
 from coronagrid.cli import run
 from coronagrid.dual import tiling_window
-from coronagrid.errors import EmptyScene, ParseError, ValidationError
+from coronagrid.errors import EmptyScene, ParseError, SingularMultigrid, ValidationError
 from coronagrid.multigrid import MultigridSpec
 
 
@@ -190,22 +190,130 @@ def test_single_tile_scene_has_one_closed_path(square):
 
 
 def test_shared_corners_keep_their_own_text():
-    """Each corner prints as if formatted alone: equal corners of several
-    tiles print alike, and 0.0 and -0.0 (which compare equal) print apart."""
-    zero, minus_zero = complex(0.0, 0.0), complex(-0.0, -0.0)
-    tiles = (((zero, 1 + 1j, 1 + 0.5j), "#000000"),
-             ((minus_zero, 1 + 1j, complex(0.0, -0.0)), "#111111"))
-    doc = cio.render_svg(cio.SceneSpec(2.0, (cio.TilesLayer(tiles),)))
+    """Each position entry prints as if formatted alone: a vertex shared by
+    two tiles prints alike in both, and separate 0.0 and -0.0 entries (which
+    compare equal) print apart."""
+    positions = [complex(0.0, 0.0), 1 + 1j, 1 + 0.5j, 0.5 + 0.25j,
+                 complex(-0.0, -0.0), complex(0.0, -0.0)]
+    layer = cio.TilesLayer(positions, [0, 1, 2, 3, 4, 1, 5, 3], ["#000000", "#111111"], [0, 1])
+    scene = cio.SceneSpec(2.0, (layer,))
+    doc = cio.render_svg(scene)
     paths = [el.attrib["d"] for el in ET.fromstring(doc).iter() if el.tag.endswith("path")]
-    assert paths == ["M0.000000 -0.000000 L1.000000 -1.000000 L1.000000 -0.500000 Z",
-                     "M-0.000000 0.000000 L1.000000 -1.000000 L0.000000 0.000000 Z"]
+    assert paths == [
+        "M0.000000 -0.000000 L1.000000 -1.000000 L1.000000 -0.500000 L0.500000 -0.250000 Z",
+        "M-0.000000 0.000000 L1.000000 -1.000000 L0.000000 0.000000 L0.500000 -0.250000 Z"]
+    assert doc == reference_render(scene)
 
 
 def test_empty_scene_raises():
     with pytest.raises(EmptyScene):
         cio.render_svg(cio.SceneSpec(1.0, ()))
     with pytest.raises(EmptyScene):
-        cio.render_svg(cio.SceneSpec(1.0, (cio.TilesLayer(()),)))
+        cio.render_svg(cio.SceneSpec(1.0, (cio.TilesLayer((), (), (), ()),)))
+    with pytest.raises(EmptyScene):   # tables, but nothing to draw
+        cio.render_svg(cio.SceneSpec(1.0, (cio.TilesLayer([0j] * 4, range(4), ["#000000"], ()),)))
+
+
+# the tuple renderer, reference for render_svg's tables ------------------------
+
+def reference_path(points, cells):
+    """Closed SVG path through the points.  ``cells`` caches the text of
+    each point shared by several paths; a point with a zero coordinate is
+    not cached, because 0.0 and -0.0 compare equal but format apart."""
+    out = []
+    for p in points:
+        cell = cells.get(p)
+        if cell is None:
+            cell = f"{p.real:.6f} {-p.imag:.6f}"
+            if p.real and p.imag:
+                cells[p] = cell
+        out.append(cell)
+    return "M" + " L".join(out) + " Z"
+
+
+def reference_render(scene):
+    """render_svg on tuple tiles: each tiles layer is first copied out as
+    (corner cycle, fill) pairs in draw order, and every path is built point
+    by point through one complex-keyed text cache shared by all layers."""
+    def cycles(layer):
+        return [(tuple(layer.positions[m] for m in layer.corners[4 * n:4 * n + 4]),
+                 layer.fills[n]) for n in layer.order]
+
+    layers = [cycles(layer) if isinstance(layer, cio.TilesLayer) else layer
+              for layer in scene.layers]
+    if all(not (layer if isinstance(layer, list) else layer.vertices) for layer in layers):
+        raise EmptyScene("scene has no content to render")
+    fmt = cio._fmt
+    r = scene.radius
+    cells = {}
+    tile_w = r / 300.0
+    line_w = 2 * tile_w
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{fmt(-r)} {fmt(-r)} {fmt(2 * r)} {fmt(2 * r)}">',
+        f'<rect x="{fmt(-r)}" y="{fmt(-r)}" width="{fmt(2 * r)}" '
+        f'height="{fmt(2 * r)}" fill="#ffffff"/>',
+    ]
+    for layer in layers:
+        if isinstance(layer, list):
+            out.append(f'<g stroke="#333333" stroke-width="{fmt(tile_w)}" '
+                       f'stroke-linejoin="round">')
+            for corners, fill in layer:
+                out.append(f'<path d="{reference_path(corners, cells)}" fill="{fill}"/>')
+            out.append("</g>")
+        else:
+            dash = (f' stroke-dasharray="{fmt(4 * line_w)} {fmt(3 * line_w)}"'
+                    if layer.dashed else "")
+            out.append(f'<path d="{reference_path(layer.vertices, cells)}" fill="none" '
+                       f'stroke="{layer.color}" stroke-width="{fmt(line_w)}"{dash}/>')
+    out += ["</svg>", ""]
+    return "\n".join(out)
+
+
+def outcome(render, scene):
+    try:
+        return render(scene)
+    except EmptyScene as exc:
+        return str(exc)
+
+
+@st.composite
+def scenes(draw):
+    """tiling_scene of a window of radius 0..8, or corona_scene of a run to
+    n <= 6 with or without the overlay, on the pentagrid or on
+    random_multigrid(d, s) for d = 3..9."""
+    d = draw(st.sampled_from([0, *range(3, 10)]))
+    spec = MultigridSpec.dfold(5, 0.5) if d == 0 else certify.random_multigrid(
+        d, draw(st.integers(0, 10**6)))
+    try:
+        if draw(st.booleans()):
+            return cio.tiling_scene(tiling_window(spec, draw(st.floats(0.0, 8.0))))
+        seed = graph.Patch(frozenset([mg.nearest_crossing(spec)]))
+        seq = graph.corona_sequence(spec, seed, draw(st.integers(0, 6)))
+        overlay = analysis.tiling_char_polygon(spec) if draw(st.booleans()) else None
+        return cio.corona_scene(spec, seq, overlay)
+    except SingularMultigrid:
+        assume(False)
+
+
+@given(scene=scenes())
+def test_table_renderer_matches_tuple_renderer(scene):
+    """render_svg on the scene's tables gives the bytes of the tuple
+    renderer on the same tiles, or the same EmptyScene."""
+    assert outcome(cio.render_svg, scene) == outcome(reference_render, scene)
+
+
+def test_window_and_scene_hold_packed_tables(pentagrid, traced_memory):
+    """The radius-30 pentagrid window holds its tables in at most 170 B per
+    tile (about 312 B as lists of tuples), and its tiling scene adds at most
+    16 B per tile (about 176 B as corner-cycle tuples): it shares the
+    window's tables."""
+    window, held, _ = traced_memory(tiling_window, pentagrid, 30.0)
+    assert len(window) > 20_000
+    assert held <= 170 * len(window)
+    _, held, _ = traced_memory(cio.tiling_scene, window)
+    assert held <= 16 * len(window)
 
 
 def test_palette_distinct():

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from coronagrid import graph, multigrid as mg, sandpile
 from coronagrid.certify import random_multigrid
-from coronagrid.dual import tiling_window
+from coronagrid.dual import TilingWindow, tiling_window
 from coronagrid.errors import BoundaryContamination, SingularMultigrid, ValidationError
 from coronagrid.multigrid import LineId
 from specs import crossing_of
@@ -24,7 +25,7 @@ def penta_window(pentagrid):
 def test_max_stable_degrees(square_window):
     config = sandpile.max_stable(square_window)
     assert len(config.neighbors) == len(config.grains) == len(square_window)
-    center = square_window.keys.index((0, 0, 1, 0))
+    center = square_window.index((0, 0, 1, 0))
     assert config.grains[center] == 3
     boundary_grains = {g for g, nbs in zip(config.grains, config.neighbors) if len(nbs) < 4}
     assert boundary_grains and all(g < 3 for g in boundary_grains)
@@ -34,9 +35,9 @@ def test_max_stable_degrees(square_window):
 def neighbor_keys_adjacency(window):
     """Reference: each tile's neighbor_keys that are window tiles, in
     neighbor_keys order, as tile indices."""
-    index = {key: n for n, key in enumerate(window.keys)}
+    index = {key: n for n, key in enumerate(window.keys())}
     return [tuple(index[k] for k in mg.neighbor_keys(window.spec, key) if k in index)
-            for key in window.keys]
+            for key in window.keys()]
 
 
 def test_window_adjacency_is_graph_adjacency_on_window_tiles(penta_window):
@@ -63,7 +64,7 @@ def test_round_one_only_seed_topples(square, square_window):
     at = mg.make_crossing(square, LineId(0, 0), LineId(1, 0))
     config = sandpile.max_stable(square_window)
     after = sandpile.add_grain_and_topple(config, at, rounds=1)
-    assert after.toppled_rounds == {square_window.keys.index(at.key): 1}
+    assert after.toppled_rounds == {square_window.index(at.key): 1}
     assert after.toppled_by(1) == {at.key}
 
 
@@ -108,7 +109,7 @@ def test_boundary_contamination(square):
 
 def test_seed_must_be_interior(square, square_window):
     config = sandpile.max_stable(square_window)
-    rim = next(key for key, nbs in zip(square_window.keys, config.neighbors) if len(nbs) < 4)
+    rim = next(key for key, nbs in zip(square_window.keys(), config.neighbors) if len(nbs) < 4)
     with pytest.raises(ValidationError, match="on the window boundary"):
         sandpile.add_grain_and_topple(config, crossing_of(square, rim), rounds=1)
     outside = mg.make_crossing(square, LineId(0, 40), LineId(1, 0))
@@ -138,6 +139,35 @@ def test_sandpile_builds_no_objects(pentagrid, count_constructions):
     assert counts == {}
 
 
+def test_corona_comparison_decodes_each_layer_and_key_once(pentagrid, monkeypatch):
+    """corona_comparison gives, per round, the sizes of toppled_by(n) and
+    corona(n - 1) and whether they are equal, from running unions: each
+    layer is decoded once, and each toppled tile's key once."""
+    window = tiling_window(pentagrid, 12.0)
+    at = mg.nearest_crossing(pentagrid)
+    final = sandpile.add_grain_and_topple(sandpile.max_stable(window), at, rounds=6)
+    seq = graph.corona_sequence(pentagrid, graph.Patch(frozenset([at])), 5)
+    want = [(n, len(final.toppled_by(n)), len(seq.corona(n - 1)),
+             final.toppled_by(n) == seq.corona(n - 1)) for n in range(1, 7)]
+    assert all(match for *_, match in want)
+    layers, keys = Counter(), Counter()
+
+    def layer(self, n, _layer=graph.CoronaSequence.layer):
+        layers[n] += 1
+        return _layer(self, n)
+
+    def key(self, n, _key=TilingWindow.key):
+        keys[n] += 1
+        return _key(self, n)
+
+    monkeypatch.setattr(graph.CoronaSequence, "layer", layer)
+    monkeypatch.setattr(TilingWindow, "key", key)
+    fresh = sandpile.SandpileConfig(window, final.neighbors, final.grains, final.toppled_rounds)
+    assert list(sandpile.corona_comparison(fresh, seq, 6)) == want
+    assert layers == Counter(range(6))
+    assert keys == Counter(final.toppled_rounds.keys())
+
+
 # differential check of the toppler -------------------------------------------
 
 def full_scan_topple(config, at, rounds):
@@ -145,7 +175,7 @@ def full_scan_topple(config, at, rounds):
     from neighbor_keys over the window's keys, every round a rescan of every
     tile, and the halo from a visited-set BFS.  Returns the grains and the
     toppled rounds, keyed by crossing key."""
-    keys = config.window.keys
+    keys = list(config.window.keys())
     in_window = set(keys)
     adjacency = {key: tuple(k for k in mg.neighbor_keys(config.window.spec, key)
                             if k in in_window)
@@ -192,7 +222,7 @@ def topple_outcome(config, at, rounds):
         result = sandpile.add_grain_and_topple(config, at, rounds)
     except BoundaryContamination as exc:
         return str(exc), None
-    keys = config.window.keys
+    keys = list(config.window.keys())
     return (list(zip(keys, result.grains)),
             [(keys[n], r) for n, r in result.toppled_rounds.items()]), result
 
@@ -214,14 +244,14 @@ def test_active_set_toppler_matches_full_scan(d, seed, radius, data):
     config = stable_window(d, seed, radius)
     assume(config is not None)
     window = config.window
-    points = mg.crossing_pairs(window.spec, window.keys)
+    points = mg.crossing_pairs(window.spec, window.keys())
     # drops in the inner half of the window, so runs end both ways
-    inner = sorted(key for key, nbs, (x, y) in zip(window.keys, config.neighbors, points)
+    inner = sorted(key for key, nbs, (x, y) in zip(window.keys(), config.neighbors, points)
                    if len(nbs) == 4 and abs(complex(x, y)) <= radius / 2)
     assume(inner)
     extra = data.draw(st.dictionaries(st.sampled_from(inner), st.integers(1, 9),
                                       max_size=5))
-    grains = [g + extra.get(key, 0) for key, g in zip(window.keys, config.grains)]
+    grains = [g + extra.get(key, 0) for key, g in zip(window.keys(), config.grains)]
     config = sandpile.SandpileConfig(window, config.neighbors, grains, {})
     for _ in range(2):
         at = crossing_of(window.spec, data.draw(st.sampled_from(inner)))
