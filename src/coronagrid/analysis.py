@@ -20,11 +20,12 @@ from typing import Collection, Iterable, Literal, Sequence
 
 from . import geom
 from .dual import corner_tables, linear_dual
-from .errors import GridNotRepresented, ValidationError
+from .errors import GridNotRepresented, ResourceLimit, ValidationError
 from .geom import Polygon, from_convex_vertices, hull_chain, hull_chain_xy, perp
 from .graph import CoronaSequence, Patch, bfs_layers, corona_layers
-from .multigrid import (Key, LineId, MultigridSpec, crossing_pairs, crossing_point,
-                        dominant_lines, frontier_neighbor_keys, line_crossings)
+from .multigrid import (CAP_ENV, Key, LineId, MultigridSpec, crossing_pairs, crossing_point,
+                        default_crossing_cap, dominant_lines, frontier_neighbor_keys,
+                        line_crossings)
 
 Side = Literal["multigrid", "tiling"]
 
@@ -222,11 +223,15 @@ def endpoints_diagnostic(
     dominant line is walked once per direction, to max(ns), from the grown
     patch's crossing of largest (+1) and smallest (-1) parameter; step n
     gives the 2d endpoints of row n.  Rows divide by max(n, 1), so the n = 0
-    row is the raw hull, which may be a single point.
+    row is the raw hull, which may be a single point.  Raises ResourceLimit
+    first when the walks would pass more crossings than the crossing cap.
     """
     ns = sorted(ns)
     if not ns or ns[0] < 0:
         raise ValidationError("ns must be nonempty with n >= 0")
+    cap = default_crossing_cap()
+    if 2 * spec.d * ns[-1] > cap:
+        raise ResourceLimit(f"the endpoint walks would exceed {cap} crossings (set ${CAP_ENV})")
     ball, lines, _ = grow_until_dominant(spec, patch)
     on_line: dict[tuple[int, int], list[Key]] = {line: [] for line in lines}
     for key in ball:

@@ -12,7 +12,6 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from random import Random
 from typing import Callable
 
@@ -31,22 +30,23 @@ from .multigrid import (
     crossings_on_segment,
     make_crossing,
     nearest_crossing,
-    walk_line,
+    nth_crossing,
 )
 
 PENTAGRID = MultigridSpec.dfold(5, 0.5)
 SQUARE = MultigridSpec.from_angles([0, 90], [0.0, 0.0])
+MIN_GAP = 0.05   # the least angle, in radians, between two random_multigrid directions
 
 
-def random_multigrid(d: int, seed: int, min_gap: float = 0.05) -> MultigridSpec:
+def random_multigrid(d: int, seed: int) -> MultigridSpec:
     """Deterministic 'random' spec: d directions in [0, pi) with pairwise
-    angular gap >= min_gap, offsets uniform in [0, 1)."""
+    angular gap >= MIN_GAP, offsets uniform in [0, 1)."""
     rng = Random(seed)
     while True:
         angles = sorted(rng.uniform(0, math.pi) for _ in range(d))
         gaps = [b - a for a, b in zip(angles, angles[1:])]
         gaps.append(angles[0] + math.pi - angles[-1])
-        if min(gaps) >= min_gap:
+        if min(gaps) >= MIN_GAP:
             break
     normals = tuple(complex(math.cos(a), math.sin(a)) for a in angles)
     return MultigridSpec(normals, tuple(rng.random() for _ in range(d)))
@@ -154,7 +154,7 @@ def crit_shortest_path_oracle() -> str:
 
     def beyond(c: Crossing, line: LineId, direction: int) -> Crossing:
         """The crossing 1 to 6 steps (drawn from rng) beyond c on the line."""
-        return next(islice(walk_line(spec, line, c.point, direction), rng.randint(1, 6) - 1, None))
+        return nth_crossing(spec, line, c.point, direction, rng.randint(1, 6))
 
     done = 0
     while done < 100:

@@ -126,11 +126,9 @@ def _seed_patch(spec: MultigridSpec, args) -> graph.Patch:
             raise ValidationError(
                 f"--tile takes i,j,ki,kj with grids i, j in 0..{spec.d - 1}, got {args.tile!r}")
         i, j, ki, kj = tile
-        try:
-            seed = make_crossing(spec, LineId(i, ki), LineId(j, kj))
-        except OverflowError:
-            raise ValidationError(
-                "--tile line indices ki, kj must lie within float range") from None
+        if max(abs(ki), abs(kj)) >= 2**63:
+            raise ValidationError("--tile line indices ki, kj must lie in (-2^63, 2^63)")
+        seed = make_crossing(spec, LineId(i, ki), LineId(j, kj))
     else:
         seed = nearest_crossing(spec)
     ball = graph.corona_layers(spec, graph.Patch(frozenset([seed])), args.ball)

@@ -19,7 +19,7 @@ from functools import partial
 from itertools import accumulate, chain, islice
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .errors import ResourceLimit, Unreachable
+from .errors import ResourceLimit, Unreachable, ValidationError
 from .multigrid import (
     CAP_ENV,
     Crossing,
@@ -87,15 +87,14 @@ class CoronaSequence:
     Layer 0 holds the keys of the base patch's crossings; layer n the keys
     of the crossings at graph distance exactly n from it.  packed[n] stores
     layer n as one flat array('q') of its keys' four integers (32 B per
-    crossing), in the order bfs_layers' frozenset iterated them; a layer
-    with a line index beyond 64 bits stays as that frozenset.  layer(n)
+    crossing), in the order bfs_layers' frozenset iterated them.  layer(n)
     decodes layer n in that order, and corona(n) is the union of layers
     0..n, as keys; no reader builds a Crossing.
     """
 
     base: Patch
     spec: MultigridSpec
-    packed: tuple[array | frozenset[Key], ...]
+    packed: tuple[array, ...]
 
     @property
     def n_max(self) -> int:
@@ -105,10 +104,7 @@ class CoronaSequence:
         """The keys of layer n, in the order they were packed."""
         if not 0 <= n <= self.n_max:
             raise IndexError(f"layer index {n} not in [0, {self.n_max}]")
-        packed = self.packed[n]
-        if isinstance(packed, array):
-            return zip(*[iter(packed)] * 4)
-        return iter(packed)
+        return zip(*[iter(self.packed[n])] * 4)
 
     def corona(self, n: int) -> frozenset[Key]:
         if not 0 <= n <= self.n_max:
@@ -117,35 +113,20 @@ class CoronaSequence:
 
     def sizes(self) -> list[int]:
         """Cumulative corona sizes |P_0|, |P_1|, ..."""
-        return list(accumulate(len(p) // 4 if isinstance(p, array) else len(p)
-                               for p in self.packed))
+        return list(accumulate(len(p) // 4 for p in self.packed))
 
 
-def _pack(layer: frozenset[Key]) -> array | frozenset[Key]:
-    """A layer's keys as one flat array('q') in its iteration order, or the
-    layer itself when a line index does not fit in 64 bits."""
-    try:
-        return array("q", list(chain.from_iterable(layer)))
-    except OverflowError:
-        return layer
-
-
-def corona_layers(
-    spec: MultigridSpec,
-    patch: Patch,
-    n_max: int,
-    max_crossings: int | None = None,
-) -> Iterator[frozenset[Key]]:
+def corona_layers(spec: MultigridSpec, patch: Patch, n_max: int) -> Iterator[frozenset[Key]]:
     """The first n_max + 1 layers of bfs_layers from the patch's keys, as
     frozensets of crossing keys (empty past a finite graph's last layer).
 
     Only the layers bfs_layers needs are held, so a consumer that does not
     keep them walks in memory proportional to the frontier.  A layer that
-    takes the running total past the crossing cap (default from
-    $CORONAGRID_MAX_CROSSINGS) raises ResourceLimit instead of being
-    yielded; the base patch itself is never refused.
+    takes the running total past the crossing cap ($CORONAGRID_MAX_CROSSINGS)
+    raises ResourceLimit instead of being yielded; the base patch itself is
+    never refused.
     """
-    cap = default_crossing_cap() if max_crossings is None else max_crossings
+    cap = default_crossing_cap()
     layers = bfs_layers((c.key for c in patch.crossings),
                         partial(frontier_neighbor_keys, spec))
     total = 0
@@ -158,20 +139,22 @@ def corona_layers(
         yield layer
 
 
-def corona_sequence(
-    spec: MultigridSpec,
-    patch: Patch,
-    n_max: int,
-    max_crossings: int | None = None,
-) -> CoronaSequence:
+def corona_sequence(spec: MultigridSpec, patch: Patch, n_max: int) -> CoronaSequence:
     """Grow n_max coronas from the patch: the layers of corona_layers, each
     packed as it arrives, so the run holds 32 B per crossing of the ball
     plus the frontier layers bfs_layers is working on.
 
-    Exceeding the crossing cap raises ResourceLimit, as in corona_layers.
+    Exceeding the crossing cap raises ResourceLimit, as in corona_layers,
+    and a layer with a line index outside the 64-bit range of array('q')
+    (a patch that holds one, or its growth) raises ValidationError.
     """
-    layers = corona_layers(spec, patch, n_max, max_crossings)
-    return CoronaSequence(patch, spec, tuple(map(_pack, layers)))
+    packed: list[array] = []
+    for n, layer in enumerate(corona_layers(spec, patch, n_max)):
+        try:
+            packed.append(array("q", list(chain.from_iterable(layer))))
+        except OverflowError:
+            raise ValidationError(f"corona layer {n} has a line index beyond 64 bits") from None
+    return CoronaSequence(patch, spec, tuple(packed))
 
 
 def graph_distance(

@@ -104,11 +104,9 @@ class MultigridSpec:
 
     normals: tuple[complex, ...]
     offsets: tuple[float, ...]
+    # dot(i, j) and cross(i, j), indexed [i][j]: line_steps and _levels_on_segment read both
     _dots: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     _crosses: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
-    # per grid i: (l, cross(i, l), dot(i, l), offset_l) for every other grid l
-    _steps: tuple[tuple[tuple[int, float, float, float], ...], ...] = field(
-        init=False, repr=False, compare=False)
     # per grid i: (normal_i.real, normal_i.imag, offset_i), the terms of level(i, z)
     _levels: tuple[tuple[float, float, float], ...] = field(
         init=False, repr=False, compare=False)
@@ -153,9 +151,6 @@ class MultigridSpec:
                         for i in range(d))
         object.__setattr__(self, "_dots", dots)
         object.__setattr__(self, "_crosses", crosses)
-        steps = tuple(tuple((l, crosses[i][l], dots[i][l], offsets[l])
-                            for l in range(d) if l != i) for i in range(d))
-        object.__setattr__(self, "_steps", steps)
         object.__setattr__(self, "_levels", tuple((z.real, z.imag, g)
                                                   for z, g in zip(normals, offsets)))
 
@@ -250,10 +245,6 @@ class Crossing:
     @property
     def key(self) -> Key:
         return (self.a.grid, self.a.k, self.b.grid, self.b.k)
-
-    @property
-    def grids(self) -> tuple[int, int]:
-        return (self.a.grid, self.b.grid)
 
 
 def crossing_point(
@@ -355,7 +346,8 @@ def count_crossings_with_grid(
     spec: MultigridSpec, line: LineId, z: complex, alpha: float, j: int,
 ) -> int:
     """Number of crossings of `line` with grid j on the half-open segment
-    from z to z + alpha*perp(normal_i).
+    from z to z + alpha*perp(normal_i): the length of _levels_on_segment's
+    range from z's parameter on the line.
 
     Closed form; always within 2 of alpha*|perp(normal_i) . normal_j|.
     """
@@ -366,12 +358,8 @@ def count_crossings_with_grid(
         raise ValueError("alpha must be >= 0")
     if abs(spec.level(i, z) - line.k) > 1e-6:
         raise ValueError(f"point {z} is not on line {line}")
-    s = spec.cross(i, j)
-    u0 = spec.level(j, z)
-    u1 = u0 + alpha * s
-    if s > 0:
-        return math.floor(u1 + _SNAP) - math.floor(u0 + _SNAP)
-    return math.ceil(u0 - _SNAP) - math.ceil(u1 - _SNAP)
+    t = spec.line_parameter(line, z)
+    return len(_levels_on_segment(spec, i, line.k, j, t, t + alpha)[0])
 
 
 def line_steps(
@@ -381,18 +369,22 @@ def line_steps(
     ``(up, down)`` for directions +1 and -1, each ``(grid, level, parameter,
     gap)``, where gap is the distance to the runner-up candidate.
 
-    O(d): per other grid, one level value u gives the next integer level
-    both ways in closed form, from one floor f = floor(u + _SNAP): f + 1
-    above, and below ceil(u - _SNAP) - 1, which equals f if u - _SNAP > f
-    and f - 1 otherwise, because float rounding is monotone.  Refuses nothing;
-    callers refuse a gap below EPS_SINGULAR, where the order of the two
-    candidates would be numerically meaningless.
+    O(d): per other grid l, one level value u (from the spec's cross(i, l),
+    dot(i, l) and offset_l) gives the next integer level both ways in closed
+    form, from one floor f = floor(u + _SNAP): f + 1 above, and below
+    ceil(u - _SNAP) - 1, which equals f if u - _SNAP > f and f - 1
+    otherwise, because float rounding is monotone.  Refuses nothing; callers
+    refuse a gap below EPS_SINGULAR, where the order of the two candidates
+    would be numerically meaningless.
     """
     floor = math.floor
-    r = spec.offsets[i] + k
+    offsets, dots = spec.offsets, spec._dots[i]
+    r = offsets[i] + k
     up_dt = up_second = down_dt = down_second = math.inf
-    for l, s, dot, offset in spec._steps[i]:
-        base = r * dot - offset
+    for l, s in enumerate(spec._crosses[i]):
+        if l == i:
+            continue
+        base = r * dots[l] - offsets[l]
         u = base + t * s
         below = floor(u + _SNAP)
         above = below + 1
@@ -618,7 +610,8 @@ def _sorted_walk(
       refusal names the parameter line_steps gives.
     A chunk is listed once its predecessor no longer covers that window,
     and merged with what is left of the predecessor: a level within _SNAP
-    of a chunk's end can lie beyond it.
+    of a chunk's end can lie beyond it.  Where the float spacing of the
+    position exceeds the longest chunk, the walk refuses.
     """
     i, k = line
     grids = [l for l in range(spec.d) if l != i]
@@ -632,6 +625,8 @@ def _sorted_walk(
     while True:
         while at == len(todo) or todo[at][0] + reach > end:
             start, end = end, end + chunk / density
+            if end == start and chunk == _CHUNK_CROSSINGS:   # below the float spacing
+                raise SingularMultigrid(f"line {line} is too far out to walk past {direction * p}")
             chunk = min(2 * chunk, _CHUNK_CROSSINGS)
             todo = todo[at:]
             at = 0
@@ -662,23 +657,17 @@ def _sorted_walk(
         yield direction * q, l, m
 
 
-def walk_line(
-    spec: MultigridSpec, line: LineId, start: complex, direction: int,
-) -> Iterator[Crossing]:
-    """The crossings of `line` beyond the point `start` on it, nearest first,
-    in direction +-1, as line_crossings gives them.  Raises ValueError at
-    once unless direction is +1 or -1."""
-    steps = line_crossings(spec, line, spec.line_parameter(line, start), direction)
-    return (make_crossing(spec, line, LineId(j, m)) for _, j, m in steps)
-
-
 def nth_crossing(
     spec: MultigridSpec, line: LineId, start: complex, direction: int, n: int,
 ) -> Crossing:
-    """The n-th crossing (n >= 1) of `line` beyond `start` (see walk_line)."""
+    """The n-th crossing (n >= 1) of `line` beyond the point `start` on it,
+    in direction +-1, as line_crossings walks them.  Raises ValueError
+    unless n >= 1 and direction is +1 or -1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return next(islice(walk_line(spec, line, start, direction), n - 1, None))
+    steps = line_crossings(spec, line, spec.line_parameter(line, start), direction)
+    _, j, m = next(islice(steps, n - 1, None))
+    return make_crossing(spec, line, LineId(j, m))
 
 
 _WindowLine = tuple[LineId, list[tuple[int, range, float, float]]]

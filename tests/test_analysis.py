@@ -258,7 +258,7 @@ def test_grow_until_dominant_names_missing_grids(pentagrid, monkeypatch):
     seed = mg.nearest_crossing(pentagrid)
     with pytest.raises(GridNotRepresented) as err:
         analysis.grow_until_dominant(pentagrid, graph.Patch(frozenset([seed])))
-    assert err.value.missing == tuple(g for g in range(5) if g not in seed.grids)
+    assert err.value.missing == tuple(g for g in range(5) if g not in (seed.a.grid, seed.b.grid))
     assert len(err.value.missing) == 3
 
 

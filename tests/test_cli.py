@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import coronagrid
 from coronagrid import graph
@@ -184,15 +184,17 @@ def test_tile_level_beyond_float_range_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_far_out_seed_refused_as_before(tmp_path, capsys):
-    """A seed line index beyond 64 bits (kept unpacked) grows to the same
-    refusal as ever."""
+def test_tile_level_beyond_64_bits_exits_2(tmp_path, capsys):
+    """--tile takes line indices in (-2^63, 2^63): 2^63 or more, of either
+    sign, is refused by one range check, with one line and no files."""
     out = tmp_path / "out"
-    assert run(["corona", "--dfold", "5", "--tile", "0,1,100000000000000000000,0",
-                "--n", "1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: two crossings coincide on line LineId(grid=1, k=0) "), err
-    assert err.count("\n") == 1 and not out.exists()
+    for command in ("converge", "corona", "endpoints"):
+        for tile in (f"0,1,{2**63},0", f"0,1,{-2**63},0", f"0,1,0,{10**20}"):
+            assert run([command, "--dfold", "5", "--n", "1", "--tile", tile,
+                        "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: --tile line indices ki, kj must lie in (-2^63, 2^63)\n", err
+            assert not out.exists()
 
 
 def test_offsets_outside_the_unit_interval_fold_with_a_warning(tmp_path):
@@ -282,15 +284,18 @@ def tree(root: Path) -> list:
                   for p in root.rglob("*"))
 
 
-@given(case=gen_and_sandpile_runs())
-def test_gen_and_sandpile_keep_the_exit_contract(case):
-    """Exit 0, or exit 2 with exactly one stderr line, starting with
-    `error:`, no traceback, and the --out tree as it was."""
-    argv, cap = case
+def keeps_the_exit_contract(argv, cap, config=None):
+    """Run argv in-process, with $CORONAGRID_MAX_CROSSINGS = cap (None:
+    unset) and, unless None, `config` as a --config file: exit 0, or exit 2
+    with exactly one stderr line, starting with `error:`, no traceback, and
+    the --out tree as it was."""
     with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ):
         os.environ.pop(CAP_ENV, None)
         if cap is not None:
             os.environ[CAP_ENV] = cap
+        if config is not None:
+            (Path(root) / "run.cfg").write_text(config)
+            argv = argv + ["--config", str(Path(root) / "run.cfg")]
         out = Path(root) / "out"
         out.mkdir()
         (out / "kept.txt").write_text("an earlier artifact\n")
@@ -300,12 +305,59 @@ def test_gen_and_sandpile_keep_the_exit_contract(case):
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")   # offset folding warns; not part of the contract
             code = run(argv + ["--out", str(out)])
-        assert code in (0, 2), (argv, cap, err.getvalue())
+        assert code in (0, 2), (argv, cap, config, err.getvalue())
         if code == 2:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
-                (argv, cap, err.getvalue())
+                (argv, cap, config, err.getvalue())
             assert "Traceback" not in err.getvalue()
-            assert tree(Path(root)) == before, (argv, cap)
+            assert tree(Path(root)) == before, (argv, cap, config)
+
+
+@given(case=gen_and_sandpile_runs())
+def test_gen_and_sandpile_keep_the_exit_contract(case):
+    keeps_the_exit_contract(*case)
+
+
+# --tile draws grids in and out of range and line indices from 0 to past
+# 64 bits and float range; config text is workable, or has one malformed line
+TILE_GRIDS = ["0", "1", "2", "0", "1", "2", "-1", "7", "x"]
+TILE_LEVELS = ["0", "-3", "1.5", "x", *(str(s * k) for k in (10**12, 2**53, 2**63 - 1, 2**63)
+                                     for s in (1, -1)), str(10**20), str(10**400)]
+CONFIGS = ["dfold: 5\n", "angles: [0, 90]\noffsets: [0, 0]\n", "dfold: 5\nradius 3\n",
+           "dfold: 5\noffsets: [0.5, x]\n", "angles: [0, 90]\n: 2\n", "dfold: 3\ndfold: 3\n"]
+
+
+@st.composite
+def growth_runs(draw):
+    """argv for corona, converge, endpoints or charpoly, a small or bad
+    $CORONAGRID_MAX_CROSSINGS value and the config text (None: the spec is
+    given by flags).  Every cap is set, so a huge --n or --ball stops at it."""
+    command = draw(st.sampled_from(["corona", "converge", "endpoints", "charpoly"]))
+    config = draw(st.one_of(st.none(), st.sampled_from(CONFIGS)))
+    argv = [command] + ([] if config else list(draw(st.sampled_from(SPECS))))
+    if command != "charpoly":
+        if draw(st.booleans()):
+            levels = draw(st.sampled_from([2, 2, 1]))   # one in three tiles lacks kj
+            tile = [draw(st.sampled_from(TILE_GRIDS)) for _ in range(2)]
+            tile += [draw(st.sampled_from(TILE_LEVELS)) for _ in range(levels)]
+            argv += ["--tile", ",".join(tile)]
+        argv += ["--ball", draw(drawn(["0", "1", "2"], ["-1", "99999999999999999999", "abc", ""])),
+                 "--n", draw(drawn(["0", "3", "0,2,5"],
+                                   ["", "-1", "3,-2", "99999999999999999999", "abc", "1.5"]))]
+    if command == "converge":
+        argv += ["--side", draw(st.sampled_from(["multigrid", "tiling", "hull"]))]
+    return argv, draw(drawn(["300", "3000"], BAD_CAPS)), config
+
+
+# 200 examples per tier-1 run, or the profile's count when it is larger
+@settings(max_examples=max(200, settings.default.max_examples))
+@given(case=growth_runs())
+# found by this test: an endpoint walk past sys.maxsize steps raised from
+# islice, and one from about 2^62 out on the square grid never ended
+@example(case=(["endpoints", "--dfold", "5", "--n", "99999999999999999999"], "3000", None))
+@example(case=(["endpoints", "--tile", f"0,1,{2**62},0", "--n", "1"], "3000", CONFIGS[1]))
+def test_growth_and_charpoly_keep_the_exit_contract(case):
+    keeps_the_exit_contract(*case)
 
 
 def test_corona_past_195_layers(tmp_path):

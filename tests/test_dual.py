@@ -7,11 +7,12 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 from specs import crossing_of, walk_specs
+from test_io import first_difference, outcome, reference_render
 
 from coronagrid import dual, multigrid as mg
 from coronagrid import io as cio
 from coronagrid.certify import check_edge_to_edge, random_multigrid
-from coronagrid.errors import EmptyScene, OnGridLine, SingularMultigrid, ValidationError
+from coronagrid.errors import OnGridLine, SingularMultigrid, ValidationError
 from coronagrid.multigrid import EPS_SINGULAR, LineId, MultigridSpec
 
 
@@ -125,7 +126,7 @@ def test_tile_edge_directions_are_normals(pentagrid):
     crossings = mg.enumerate_crossings(pentagrid, 6.0)
     for c in rng.sample(crossings, 40):
         pts = corner_points(pentagrid, c)
-        i, j = c.grids
+        i, j = c.a.grid, c.b.grid
         allowed = {i, j}
         for k in range(4):
             e = pts[(k + 1) % 4] - pts[k]
@@ -289,22 +290,17 @@ def reference_csv(tiles):
 
 def reference_svg(spec, radius, tiles):
     """The reference tiles sorted by crossing key, each with its own four
-    position entries, filled by grid pair."""
+    position entries, filled by grid pair, drawn by test_io's tuple
+    renderer (so a fault in render_svg's paths shows here too)."""
     pairs = [(i, j) for i in range(spec.d) for j in range(i + 1, spec.d)]
     fills = cio.TYPE_FILLS
     tiles = sorted(tiles, key=lambda tile: tile[0].key)
     layer = cio.TilesLayer([p for _, _, points in tiles for p in points],
                            range(4 * len(tiles)),
-                           [fills[pairs.index(c.grids) % len(fills)] for c, _, _ in tiles],
+                           [fills[pairs.index((c.a.grid, c.b.grid)) % len(fills)]
+                            for c, _, _ in tiles],
                            range(len(tiles)))
-    return svg_outcome(cio.SceneSpec(radius * spec.d / 2 + 2.0, (layer,)))
-
-
-def svg_outcome(scene):
-    try:
-        return cio.render_svg(scene)
-    except EmptyScene as exc:
-        return str(exc)
+    return outcome(reference_render, cio.SceneSpec(radius * spec.d / 2 + 2.0, (layer,)))
 
 
 def bits(z):
@@ -350,8 +346,9 @@ def test_table_window_matches_per_crossing_reference(spec_radius):
         == len({key for _, keys, _ in want for key in keys})
     buf = StringIO()
     cio.write_tiles_csv(window, buf)
-    assert buf.getvalue() == reference_csv(want)
-    assert svg_outcome(cio.tiling_scene(window)) == reference_svg(spec, radius, want)
+    assert first_difference(buf.getvalue(), reference_csv(want)) is None
+    assert first_difference(outcome(cio.render_svg, cio.tiling_scene(window)),
+                            reference_svg(spec, radius, want)) is None
 
 
 @pytest.mark.parametrize("spec", [

@@ -11,7 +11,7 @@ from hypothesis import assume, given, strategies as st
 
 from coronagrid import analysis, graph, io as cio, multigrid as mg
 from coronagrid.certify import random_multigrid
-from coronagrid.errors import CoronagridError, ResourceLimit, Unreachable
+from coronagrid.errors import CoronagridError, ResourceLimit, Unreachable, ValidationError
 from coronagrid.multigrid import LineId, MultigridSpec
 from specs import crossing_of, walk_specs
 
@@ -388,15 +388,16 @@ def test_packed_layers_decode_in_bfs_order(spec, n_max):
     assert seq.sizes() == list(accumulate(map(len, want)))
 
 
-def test_far_out_layer_is_kept_as_its_frozenset(pentagrid):
-    """A line index beyond 64 bits does not fit the packed array: that
-    layer stays the frozenset bfs_layers gave, and reads the same."""
-    key = (0, 10**20, 1, 0)
-    seq = graph.corona_sequence(pentagrid, graph.Patch(frozenset([crossing_of(pentagrid, key)])), 0)
-    assert seq.packed == (frozenset([key]),)
-    assert list(seq.layer(0)) == [key]
-    assert seq.corona(0) == {key}
-    assert seq.sizes() == [1]
+def test_keys_beyond_64_bits_are_refused(pentagrid, square):
+    """A layer must fit array('q'): a patch with a line index of 2^63, or
+    growth that reaches one, raises ValidationError naming the layer."""
+    key = (0, 2**63, 1, 0)
+    with pytest.raises(ValidationError, match="corona layer 0 has a line index beyond 64 bits"):
+        graph.corona_sequence(pentagrid, graph.Patch(frozenset([crossing_of(pentagrid, key)])), 0)
+    seed = graph.Patch(frozenset([crossing_of(square, (0, 2**63 - 1, 1, 0))]))
+    assert graph.corona_sequence(square, seed, 0).sizes() == [1]
+    with pytest.raises(ValidationError, match="corona layer 1 "):
+        graph.corona_sequence(square, seed, 1)
 
 
 def test_packed_sequence_holds_32_bytes_per_crossing(pentagrid, traced_memory):
@@ -422,11 +423,11 @@ def test_key_consumers_build_no_crossings(pentagrid, count_constructions):
     assert counts == {}
 
 
-def test_corona_sequence_resource_cap(pentagrid):
+def test_corona_sequence_resource_cap(pentagrid, monkeypatch):
     seed = mg.nearest_crossing(pentagrid)
+    monkeypatch.setenv(mg.CAP_ENV, "50")
     with pytest.raises(ResourceLimit):
-        graph.corona_sequence(pentagrid, graph.Patch(frozenset([seed])), 20,
-                              max_crossings=50)
+        graph.corona_sequence(pentagrid, graph.Patch(frozenset([seed])), 20)
 
 
 # distances ---------------------------------------------------------------------
@@ -512,7 +513,7 @@ def test_crossing_types_relatively_dense(pentagrid):
         seen = {z}
         frontier = [z]
         missing = set(wanted)
-        missing.discard(z.grids)
+        missing.discard((z.a.grid, z.b.grid))
         for _ in range(k_bound):
             if not missing:
                 break
@@ -522,9 +523,9 @@ def test_crossing_types_relatively_dense(pentagrid):
                     if nb not in seen:
                         seen.add(nb)
                         nxt.append(nb)
-                        if (nb.grids in missing
+                        if ((nb.a.grid, nb.b.grid) in missing
                                 and abs(nb.point - z.point) <= radius):
-                            missing.discard(nb.grids)
+                            missing.discard((nb.a.grid, nb.b.grid))
             frontier = nxt
         assert not missing, \
             f"types {missing} not found near {z.key} within r={radius}, k={k_bound}"

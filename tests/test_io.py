@@ -1,6 +1,7 @@
 import warnings
 import xml.etree.ElementTree as ET
 from io import StringIO
+from itertools import zip_longest
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -278,6 +279,19 @@ def outcome(render, scene):
         return str(exc)
 
 
+def first_difference(got: str, want: str) -> str | None:
+    """None when the texts are equal, else their first differing lines.
+    Property tests assert this is None instead of comparing the texts:
+    pytest reports a failed comparison of two texts with a line diff, which
+    takes seconds for large SVG texts, on every failing example the
+    shrinker tries."""
+    if got == want:
+        return None
+    pairs = zip_longest(got.split("\n"), want.split("\n"))
+    n, (a, b) = next((n, pair) for n, pair in enumerate(pairs, 1) if pair[0] != pair[1])
+    return f"line {n}: {a!r} != {b!r}"
+
+
 @st.composite
 def scenes(draw):
     """tiling_scene of a window of radius 0..8, or corona_scene of a run to
@@ -301,7 +315,8 @@ def scenes(draw):
 def test_table_renderer_matches_tuple_renderer(scene):
     """render_svg on the scene's tables gives the bytes of the tuple
     renderer on the same tiles, or the same EmptyScene."""
-    assert outcome(cio.render_svg, scene) == outcome(reference_render, scene)
+    got, want = outcome(cio.render_svg, scene), outcome(reference_render, scene)
+    assert first_difference(got, want) is None
 
 
 def test_window_and_scene_hold_packed_tables(pentagrid, traced_memory):

@@ -240,7 +240,7 @@ def test_segment_is_sorted_and_consistent_with_counts(pentagrid):
         for j in range(5):
             if j == i:
                 continue
-            n_j = sum(1 for c in cs if j in c.grids)
+            n_j = sum(1 for c in cs if j in (c.a.grid, c.b.grid))
             assert n_j == mg.count_crossings_with_grid(pentagrid, line, z0, alpha, j)
 
 
@@ -319,9 +319,21 @@ def test_nth_crossing_needs_n_at_least_one(pentagrid):
 def test_walks_check_direction_at_call(pentagrid):
     line = LineId(0, 0)
     with pytest.raises(ValueError, match="direction"):
-        mg.walk_line(pentagrid, line, pentagrid.line_point(line, 0.0), 2)
+        mg.nth_crossing(pentagrid, line, pentagrid.line_point(line, 0.0), 2, 1)
     with pytest.raises(ValueError, match="direction"):
         mg.line_crossings(pentagrid, line, 0.0, 0)
+
+
+def test_walk_beyond_float_resolution_is_refused(square):
+    """About 2^62 out, a parameter's float spacing (1024) exceeds the
+    longest chunk of the square grid's walk (32 crossings): the walk
+    refuses instead of listing the same empty chunk forever."""
+    line = LineId(1, 0)
+    for direction in (1, -1):
+        walk = mg.line_crossings(square, line, -direction * 2.0**62, direction)
+        with pytest.raises(SingularMultigrid, match="too far out to walk"):
+            next(walk)
+    assert next(mg.line_crossings(square, line, 2.0**40, 1))[0] == 2.0**40 + 1
 
 
 # line walks: chunked walk and single-step kernel ---------------------------
@@ -330,8 +342,11 @@ def two_call_line_steps(spec, i, k, t):
     """Reference for line_steps: one floor above and one ceil below per grid."""
     r = spec.offsets[i] + k
     up_dt = up_second = down_dt = down_second = math.inf
-    for l, s, dot, offset in spec._steps[i]:
-        base = r * dot - offset
+    for l in range(spec.d):
+        if l == i:
+            continue
+        s = spec.cross(i, l)
+        base = r * spec._dots[i][l] - spec.offsets[l]
         u = base + t * s
         above = math.floor(u + mg._SNAP) + 1
         below = math.ceil(u - mg._SNAP) - 1
@@ -486,7 +501,7 @@ def test_dominant_lines_postcondition(pentagrid):
     cs = mg.enumerate_crossings(pentagrid, 2.5)
     dom = mg.dominant_lines(pentagrid, [c.key for c in cs])
     for i in range(5):
-        ks = {(c.a if c.a.grid == i else c.b).k for c in cs if i in c.grids}
+        ks = {(c.a if c.a.grid == i else c.b).k for c in cs if i in (c.a.grid, c.b.grid)}
         assert dom[i].k in ks
         assert all(abs(pentagrid.offsets[i] + dom[i].k)
                    <= abs(pentagrid.offsets[i] + k) + 1e-12 for k in ks)
