@@ -12,11 +12,10 @@ from .analysis import (
     convergence_table,
     endpoints_diagnostic,
     grid_char_polygon,
-    normalized_shape,
     tiling_char_polygon,
 )
 from .dual import TilingWindow, dual_vertex, linear_dual, tile_of_crossing, tiling_window
-from .geom import Polygon, convex_hull, hausdorff_distance, perp, scalar_product, scale_polygon
+from .geom import Polygon, convex_hull, hausdorff_distance, perp, scalar_product
 from .graph import CoronaSequence, Patch, corona_sequence, corona_step, graph_distance, neighbors
 from .multigrid import (
     Crossing,
@@ -25,7 +24,6 @@ from .multigrid import (
     check_regular,
     count_crossings_with_grid,
     crossing_point,
-    crossings_on_segment,
     dominant_lines,
     make_crossing,
     nearest_crossing,
@@ -41,11 +39,11 @@ __all__ = [
     "Polygon", "SandpileConfig", "TilingWindow",
     "add_grain_and_topple", "check_regular", "convergence_table",
     "convex_hull", "corona_sequence", "corona_step",
-    "count_crossings_with_grid", "crossing_point", "crossings_on_segment",
+    "count_crossings_with_grid", "crossing_point",
     "dominant_lines", "dual_vertex", "endpoints_diagnostic",
     "graph_distance", "grid_char_polygon", "hausdorff_distance",
     "linear_dual", "make_crossing", "max_stable",
-    "nearest_crossing", "neighbors", "normalized_shape", "nth_crossing",
-    "perp", "scalar_product", "scale_polygon", "tile_of_crossing",
+    "nearest_crossing", "neighbors", "nth_crossing",
+    "perp", "scalar_product", "tile_of_crossing",
     "tiling_char_polygon", "tiling_window",
 ]

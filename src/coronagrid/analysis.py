@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Collection, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from . import geom
 from .dual import corner_tables, linear_dual
 from .errors import GridNotRepresented, ResourceLimit, ValidationError
-from .geom import Polygon, from_convex_vertices, hull_chain, hull_chain_xy, perp
+from .geom import hull_chain, hull_chain_xy, perp
 from .graph import CoronaSequence, Patch, bfs_layers, corona_layers
 from .multigrid import (CAP_ENV, Key, LineId, MultigridSpec, crossing_pairs, crossing_point,
                         default_crossing_cap, dominant_lines, frontier_neighbor_keys,
@@ -48,10 +48,6 @@ class CharPolygon:
     side: Side
     radii: tuple[float, ...]
     vertices: tuple[complex, ...]
-
-    @property
-    def polygon(self) -> Polygon:
-        return from_convex_vertices(self.vertices)
 
     def scaled_vertices(self, factor: float) -> list[complex]:
         return [factor * v for v in self.vertices]
@@ -95,46 +91,19 @@ def tiling_char_polygon(spec: MultigridSpec) -> CharPolygon:
     return CharPolygon("tiling", tuple(radii), _sorted_by_angle(verts))
 
 
-def char_polygon(spec: MultigridSpec, side: Side) -> CharPolygon:
-    return grid_char_polygon(spec) if side == "multigrid" else tiling_char_polygon(spec)
-
-
-def shape_points(spec: MultigridSpec, keys: Iterable[Key], side: Side) -> list[complex]:
-    """The point cloud a corona occupies, from its crossing keys: crossing
-    points on the multigrid side, the distinct dual-tile corners on the
-    tiling side."""
-    if side == "multigrid":
-        return [crossing_point(spec, (i, ki), (j, kj)) for i, ki, j, kj in keys]
-    _, _, positions = corner_tables(spec, keys)
-    return positions
-
-
-def normalized_shape(spec: MultigridSpec, keys: Collection[Key],
-                     n: int, side: Side) -> Polygon:
-    """Convex hull of the points of the corona with these crossing keys,
-    shrunk by 1/n about the origin."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    hull = geom.convex_hull(shape_points(spec, keys, side))
-    return geom.scale_polygon(hull, 1.0 / n)
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One measured corona: hull of P_n scaled by 1/n vs the target polygon."""
+    """One measured corona: h is the Hausdorff distance of hull(P_n)/n to
+    the target polygon, and hull_vertices the vertex count of hull(P_n)."""
 
     n: int
     side: Side
-    hull: Polygon
+    hull_vertices: int
     h: float
 
     @property
     def n_times_h(self) -> float:
         return self.n * self.h
-
-    @property
-    def hull_vertices(self) -> int:
-        return self.hull.n
 
 
 def convergence_table(
@@ -148,7 +117,10 @@ def convergence_table(
 
     The hull is grown frontier by frontier, hull(P_n) = hull(hull(P_{n-1})
     + F_n), so each crossing's points are taken once, from its key: no
-    Crossing is built.  The chain is kept as (x, y) pairs.  Without
+    Crossing is built.  The points are the crossings on the multigrid side
+    and the distinct dual-tile corners on the tiling side.  The chain is
+    kept as (x, y) pairs; row n scales its vertices by 1/n and measures
+    them with hausdorff_between.  Without
     `sequence`, the layers are streamed from corona_layers to max(ns) and
     dropped once read, so the table holds the frontier, not the ball; a
     refusal of layer k's points then comes before any growth refusal or
@@ -158,7 +130,8 @@ def convergence_table(
     ns = sorted(ns)
     if not ns or ns[0] < 1:
         raise ValidationError("ns must be nonempty with n >= 1")
-    target = char_polygon(spec, side).polygon
+    target = (grid_char_polygon(spec) if side == "multigrid" else
+              tiling_char_polygon(spec)).vertices
     if sequence is None:
         layers: Iterable[Iterable[Key]] = corona_layers(spec, patch, ns[-1])
     elif ns[-1] > sequence.n_max:
@@ -169,13 +142,11 @@ def convergence_table(
     chain: list[tuple[float, float]] = []
     for n, layer in enumerate(layers):
         points = (crossing_pairs(spec, layer) if side == "multigrid" else
-                  ((p.real, p.imag) for p in shape_points(spec, layer, side)))
+                  ((p.real, p.imag) for p in corner_tables(spec, layer)[2]))
         chain = hull_chain_xy(itertools.chain(chain, points))
         for _ in range(ns.count(n)):
-            vertices = [complex(x, y) for x, y in chain]
-            hull = geom.scale_polygon(geom.convex_hull(vertices), 1.0 / n)
-            h = geom.hausdorff_distance(hull, target)
-            rows.append(ConvergenceRow(n, side, hull, h))
+            h = geom.hausdorff_between([(1.0 / n) * complex(x, y) for x, y in chain], target)
+            rows.append(ConvergenceRow(n, side, len(chain), h))
     return rows
 
 
@@ -250,6 +221,6 @@ def endpoints_diagnostic(
                 if n in wanted:
                     walk[n] = crossing_point(spec, line, (j, m))
             walks.append(walk)
-    target = grid_char_polygon(spec).polygon.vertices
+    target = grid_char_polygon(spec).vertices
     chains = ((n, hull_chain([walk[n] / max(n, 1) for walk in walks])) for n in ns)
     return [EndpointRow(n, geom.hausdorff_between(chain, target)) for n, chain in chains]

@@ -12,10 +12,11 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import takewhile
 from random import Random
 from typing import Callable
 
-from . import analysis, geom, graph, sandpile
+from . import analysis, graph, sandpile
 from .dual import corner_cycles, dual_vertex, linear_dual, tiling_window, vertex_position
 from .errors import OnGridLine
 from .geom import perp, scalar_product
@@ -27,7 +28,7 @@ from .multigrid import (
     check_regular,
     count_crossings_with_grid,
     crossing_pairs,
-    crossings_on_segment,
+    line_crossings,
     make_crossing,
     nearest_crossing,
     nth_crossing,
@@ -132,7 +133,8 @@ def _sample_segment(rng: Random, spec: MultigridSpec, radius: float,
         k_lim = int(radius * 0.65)
         line = LineId(i, rng.randint(-k_lim, k_lim))
         t0 = rng.uniform(-radius * 0.65, radius * 0.45)
-        cs = crossings_on_segment(spec, line, t0, t0 + 6.0)
+        steps = takewhile(lambda step: step[0] <= t0 + 6.0, line_crossings(spec, line, t0, 1))
+        cs = [make_crossing(spec, line, LineId(j, m)) for _, j, m in steps]
         if len(cs) >= 2:
             p = rng.randrange(len(cs) - 1)
             q = min(rng.randint(p + 1, p + max_sep), len(cs) - 1)
@@ -278,12 +280,9 @@ def crit_square_grid_diamond() -> str:
         expect = 2 * n * n + 2 * n + 1
         assert sizes[n] == expect == oracle[n], \
             f"|P_{n}| = {sizes[n]}, closed form {expect}, lattice BFS {oracle[n]}"
-    target = analysis.grid_char_polygon(SQUARE).polygon
-    for n in range(1, 51):
-        hull = analysis.normalized_shape(SQUARE, seq.corona(n), n, "multigrid")
-        nh = n * geom.hausdorff_distance(hull, target)
-        worst_nh = max(worst_nh, nh)
-        assert nh <= 2.0, f"n*h_n = {nh} > 2 at n = {n}"
+    for row in analysis.convergence_table(SQUARE, patch, range(1, 51), "multigrid", sequence=seq):
+        worst_nh = max(worst_nh, row.n_times_h)
+        assert row.n_times_h <= 2.0, f"n*h_n = {row.n_times_h} > 2 at n = {row.n}"
     return f"|P_n| exact for n <= 50; max n*h_n = {worst_nh:.3f} <= 2"
 
 

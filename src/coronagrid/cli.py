@@ -120,7 +120,7 @@ def _spec_from_args(args) -> MultigridSpec:
 def _seed_patch(spec: MultigridSpec, args) -> graph.Patch:
     if args.ball < 0:
         raise ValidationError(f"--ball takes an integer >= 0, got {args.ball}")
-    if args.tile:
+    if args.tile is not None:
         tile = _numbers(args.tile, int, "--tile")
         if len(tile) != 4 or not all(0 <= g < spec.d for g in tile[:2]):
             raise ValidationError(

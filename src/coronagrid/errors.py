@@ -15,10 +15,6 @@ class DegenerateInput(CoronagridError):
     """Point set too degenerate for the requested construction (e.g. all collinear)."""
 
 
-class NonPositiveRatio(CoronagridError, ValueError):
-    """Homothety ratio must be strictly positive."""
-
-
 class ValidationError(CoronagridError, ValueError):
     """Semantically invalid input (non-unit normal, parallel directions, bad offset...)."""
 

@@ -6,7 +6,7 @@ scalar product of two points is the real dot product of their coordinates.
 
 Convex polygons are the only polygon class supported.  They are stored in
 canonical form (counterclockwise, starting at the vertex of smallest polar
-angle) so that equality tests and rendered artifacts are deterministic.
+angle) so that equality tests are deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DegenerateInput, NonPositiveRatio
+from .errors import DegenerateInput
 
 # Point equality / hull collinearity tolerance.  Coordinates stay O(1e4), so
 # doubles leave > 6 orders of magnitude of headroom above this.
@@ -46,8 +46,9 @@ def _arg2pi(z: complex) -> float:
 class Polygon:
     """Convex polygon, counterclockwise, canonical start vertex.
 
-    Construct through :func:`convex_hull` (arbitrary point sets) or
-    :func:`from_convex_vertices` (vertices already known to be convex).
+    Construct through :func:`convex_hull`.  The package's own hulls stay
+    vertex lists (hull_chain, hull_chain_xy); this class is the canonical
+    form for comparing whole polygons with hausdorff_distance.
     """
 
     vertices: tuple[complex, ...]
@@ -56,35 +57,12 @@ class Polygon:
         if len(self.vertices) < 3:
             raise DegenerateInput("polygon needs at least 3 vertices")
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
 
 def _canonical_start(vertices: Sequence[complex]) -> tuple[complex, ...]:
     start = min(range(len(vertices)),
                 key=lambda k: (_arg2pi(vertices[k]), abs(vertices[k]),
                                vertices[k].real, vertices[k].imag))
     return tuple(vertices[start:]) + tuple(vertices[:start])
-
-
-def from_convex_vertices(vertices: Iterable[complex]) -> Polygon:
-    """Wrap an already-convex CCW vertex cycle in canonical form.
-
-    Verifies convexity (left turns within tolerance) and rejects repeated
-    vertices; use convex_hull when the input is an arbitrary point cloud.
-    """
-    vs = list(vertices)
-    if len(vs) < 3:
-        raise DegenerateInput("polygon needs at least 3 vertices")
-    n = len(vs)
-    for k in range(n):
-        a, b, c = vs[k], vs[(k + 1) % n], vs[(k + 2) % n]
-        if abs(b - a) <= EPS_GEOM:
-            raise DegenerateInput("repeated vertex")
-        if cross(b - a, c - b) < -EPS_GEOM * max(1.0, abs(b - a) * abs(c - b)):
-            raise DegenerateInput("vertex cycle is not convex counterclockwise")
-    return Polygon(_canonical_start(vs))
 
 
 def hull_chain_xy(points: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -137,13 +115,6 @@ def convex_hull(points: Iterable[complex]) -> Polygon:
     if len(hull) < 3:
         raise DegenerateInput("all points collinear")
     return Polygon(_canonical_start(hull))
-
-
-def scale_polygon(p: Polygon, ratio: float) -> Polygon:
-    """Homothety of the polygon about the origin: v -> ratio*v."""
-    if ratio <= 0.0:
-        raise NonPositiveRatio(f"ratio must be > 0, got {ratio}")
-    return Polygon(_canonical_start([ratio * v for v in p.vertices]))
 
 
 def _dist_point_segment(p: complex, a: complex, b: complex) -> float:

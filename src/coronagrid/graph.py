@@ -84,16 +84,15 @@ def corona_step(spec: MultigridSpec, patch: Patch) -> Patch:
 class CoronaSequence:
     """Frontier-by-frontier BFS record of a corona growth run, on keys.
 
-    Layer 0 holds the keys of the base patch's crossings; layer n the keys
+    Layer 0 holds the keys of the seed patch's crossings; layer n the keys
     of the crossings at graph distance exactly n from it.  packed[n] stores
     layer n as one flat array('q') of its keys' four integers (32 B per
     crossing), in the order bfs_layers' frozenset iterated them.  layer(n)
     decodes layer n in that order, and corona(n) is the union of layers
-    0..n, as keys; no reader builds a Crossing.
+    0..n, as keys; no reader builds a Crossing.  The record holds the
+    layers only: a reader that needs the spec or the patch is given them.
     """
 
-    base: Patch
-    spec: MultigridSpec
     packed: tuple[array, ...]
 
     @property
@@ -154,7 +153,7 @@ def corona_sequence(spec: MultigridSpec, patch: Patch, n_max: int) -> CoronaSequ
             packed.append(array("q", list(chain.from_iterable(layer))))
         except OverflowError:
             raise ValidationError(f"corona layer {n} has a line index beyond 64 bits") from None
-    return CoronaSequence(patch, spec, tuple(packed))
+    return CoronaSequence(tuple(packed))
 
 
 def graph_distance(

@@ -316,32 +316,6 @@ def _levels_on_segment(
     return ms, base, s
 
 
-def crossings_on_segment(
-    spec: MultigridSpec, line: LineId, t0: float, t1: float,
-) -> list[Crossing]:
-    """All crossings of `line` with parameter in (t0, t1], sorted ascending.
-
-    Raises SingularMultigrid when two crossings (nearly) coincide, since
-    their order along the line would be meaningless.
-    """
-    if t0 > t1:
-        raise ValueError(f"need t0 <= t1, got ({t0}, {t1})")
-    if t0 == t1:
-        return []
-    found: list[tuple[float, Crossing]] = []
-    for j in range(spec.d):
-        if j != line.grid:
-            ms, base, s = _levels_on_segment(spec, line.grid, line.k, j, t0, t1)
-            found.extend(((m - base) / s, make_crossing(spec, line, LineId(j, m)))
-                         for m in ms)
-    found.sort(key=lambda tc: tc[0])
-    for (ta, ca), (tb, cb) in zip(found, found[1:]):
-        if tb - ta < EPS_SINGULAR:
-            raise SingularMultigrid(
-                f"crossings {ca.key} and {cb.key} coincide on line {line}")
-    return [c for _, c in found]
-
-
 def count_crossings_with_grid(
     spec: MultigridSpec, line: LineId, z: complex, alpha: float, j: int,
 ) -> int:
@@ -650,7 +624,8 @@ def _sorted_walk(
                 if (m2 <= u + _SNAP) if s > 0 else (m2 >= u - _SNAP):
                     continue
                 if (q2 - p) - (q - p) < EPS_SINGULAR:
-                    # line_steps names the parameter of its nearest candidate
+                    # line_steps names the parameter of its nearest candidate; where
+                    # two candidates tie in tm - t, that is the lower grid's, not q's
                     raise _coincide(line, line_steps(spec, i, k, direction * p)[direction < 0][2])
                 break
         p = q

@@ -1,10 +1,12 @@
-"""Hypothesis strategies for multigrid specs, and the Crossing of a key, shared
-by the test modules."""
+"""Hypothesis strategies for multigrid specs, the Crossing of a key and the
+crossings on a stretch of a line, shared by the test modules."""
+
+from itertools import takewhile
 
 from hypothesis import assume, strategies as st
 
 from coronagrid.errors import ValidationError
-from coronagrid.multigrid import LineId, MultigridSpec, make_crossing
+from coronagrid.multigrid import LineId, MultigridSpec, line_crossings, make_crossing
 
 
 @st.composite
@@ -31,3 +33,10 @@ def crossing_of(spec, key):
     """The Crossing with this key, for the entry points that take one."""
     i, ki, j, kj = key
     return make_crossing(spec, LineId(i, ki), LineId(j, kj))
+
+
+def segment_crossings(spec, line, t0, t1):
+    """The Crossings of `line` with parameter in (t0, t1], in increasing
+    order, as line_crossings walks them from t0."""
+    steps = takewhile(lambda step: step[0] <= t1, line_crossings(spec, line, t0, 1))
+    return [make_crossing(spec, line, LineId(j, m)) for _, j, m in steps]

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from coronagrid import analysis, certify, geom, graph, multigrid as mg
 from coronagrid.cli import run
-from coronagrid.dual import linear_dual
-from coronagrid.errors import (CoronagridError, DegenerateInput, GridNotRepresented, NotACrossing,
+from coronagrid.dual import corner_tables, linear_dual
+from coronagrid.errors import (CoronagridError, GridNotRepresented, NotACrossing,
                                ResourceLimit, SingularMultigrid)
 from coronagrid.geom import cross, perp
 from coronagrid.multigrid import MultigridSpec
@@ -72,7 +72,7 @@ def test_char_polygons_centrally_symmetric_with_parallel_sides():
                 e1 = verts[(k + 1) % n] - verts[k]
                 e2 = verts[(k + 1 + n // 2) % n] - verts[(k + n // 2) % n]
                 assert abs(cross(e1, e2)) < 1e-9 * abs(e1) * abs(e2)
-            assert cp.polygon.n == n  # convex, no vertex dropped
+            assert len(geom.hull_chain(verts)) == n  # convex, no vertex dropped
 
 
 def test_char_polygon_offset_invariant():
@@ -88,32 +88,28 @@ def test_char_polygon_offset_invariant():
 
 def test_normalized_shape_square_diamond(square):
     seed = mg.make_crossing(square, mg.LineId(0, 0), mg.LineId(1, 0))
-    seq = graph.corona_sequence(square, graph.Patch(frozenset([seed])), 10)
-    hull = analysis.normalized_shape(square, seq.corona(10), 10, "multigrid")
-    target = analysis.grid_char_polygon(square).polygon
-    assert geom.hausdorff_distance(hull, target) < 1e-9
+    row, = analysis.convergence_table(square, graph.Patch(frozenset([seed])), [10],
+                                      "multigrid")
+    assert row.h < 1e-9
 
 
 def test_normalized_shape_single_tile_tiling_side(pentagrid):
     seed = mg.nearest_crossing(pentagrid)
-    hull = analysis.normalized_shape(pentagrid, [seed.key], 1, "tiling")
-    assert hull.n == 4  # one rhombus
-
-
-def test_normalized_shape_degenerate_raises(pentagrid):
-    seed = mg.nearest_crossing(pentagrid)
-    with pytest.raises(DegenerateInput):
-        analysis.normalized_shape(pentagrid, [seed.key], 1, "multigrid")
+    _, _, positions = corner_tables(pentagrid, [seed.key])
+    assert len(geom.hull_chain(positions)) == 4  # one rhombus
 
 
 def test_normalized_shape_first_corona_no_failure(pentagrid):
     seed = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
-    p1 = graph.corona_step(pentagrid, seed)
-    hull = analysis.normalized_shape(pentagrid, [c.key for c in p1.crossings], 1, "multigrid")
-    assert hull.n >= 3
+    row, = analysis.convergence_table(pentagrid, seed, [1], "multigrid")
+    assert row.hull_vertices >= 3
 
 
 # convergence -----------------------------------------------------------------
+
+def nearest_patch(spec):
+    return graph.Patch(frozenset([mg.nearest_crossing(spec)]))
+
 
 def test_convergence_square_exact(square):
     seed = mg.make_crossing(square, mg.LineId(0, 0), mg.LineId(1, 0))
@@ -125,7 +121,7 @@ def test_convergence_square_exact(square):
 
 
 def test_convergence_pentagrid_decreasing(pentagrid, pentagrid_run):
-    rows = analysis.convergence_table(pentagrid, pentagrid_run.base,
+    rows = analysis.convergence_table(pentagrid, nearest_patch(pentagrid),
                                       [10, 20, 40, 80], "tiling",
                                       sequence=pentagrid_run)
     h = {r.n: r.h for r in rows}
@@ -135,7 +131,7 @@ def test_convergence_pentagrid_decreasing(pentagrid, pentagrid_run):
 
 
 def test_convergence_multigrid_side(pentagrid, pentagrid_run):
-    rows = analysis.convergence_table(pentagrid, pentagrid_run.base,
+    rows = analysis.convergence_table(pentagrid, nearest_patch(pentagrid),
                                       [10, 40, 80], "multigrid",
                                       sequence=pentagrid_run)
     h = {r.n: r.h for r in rows}
@@ -156,16 +152,22 @@ def test_convergence_offset_independent_target(pentagrid):
                          + [certify.random_multigrid(d, 40 + d) for d in range(3, 8)])
 def test_convergence_rows_equal_hulls_of_whole_coronas(spec, side):
     """The hull grown frontier by frontier gives the same rows, bit for bit,
-    as the hull of each whole corona."""
-    seq = graph.corona_sequence(spec, graph.Patch(frozenset([mg.nearest_crossing(spec)])), 12)
+    as the hull of each whole corona: geom.convex_hull over all of P_n's
+    points (crossings, or distinct tile corners), scaled by 1/n."""
+    patch = nearest_patch(spec)
+    seq = graph.corona_sequence(spec, patch, 12)
     ns = [1, 4, 4, 9, 12]
-    target = analysis.char_polygon(spec, side).polygon
+    target = (analysis.grid_char_polygon(spec) if side == "multigrid" else
+              analysis.tiling_char_polygon(spec))
     want = []
     for n in ns:
-        hull = analysis.normalized_shape(spec, seq.corona(n), n, side)
-        want.append(analysis.ConvergenceRow(n, side, hull,
-                                            geom.hausdorff_distance(hull, target)))
-    assert analysis.convergence_table(spec, seq.base, ns, side, sequence=seq) == want
+        keys = seq.corona(n)
+        points = ([mg.crossing_point(spec, (i, ki), (j, kj)) for i, ki, j, kj in keys]
+                  if side == "multigrid" else corner_tables(spec, keys)[2])
+        hull = [(1.0 / n) * v for v in geom.convex_hull(points).vertices]
+        want.append(analysis.ConvergenceRow(n, side, len(hull),
+                                            geom.hausdorff_between(hull, target.vertices)))
+    assert analysis.convergence_table(spec, patch, ns, side, sequence=seq) == want
 
 
 @pytest.mark.parametrize("side", ["multigrid", "tiling"])
@@ -301,7 +303,7 @@ def per_n_endpoint_rows(spec, patch, ns):
             continue
     else:
         raise GridNotRepresented(tuple(range(spec.d)))
-    target = analysis.grid_char_polygon(spec).polygon
+    target = analysis.grid_char_polygon(spec)
     rows = []
     for n in sorted(ns):
         points = []

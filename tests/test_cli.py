@@ -144,10 +144,20 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# every command that writes, at a small size, with its number of artifacts
+WRITING_RUNS = [(["gen", "--dfold", "5", "--radius", "3"], 2),
+                (["corona", "--dfold", "5", "--n", "2"], 2),
+                (["charpoly", "--dfold", "5"], 2),
+                (["converge", "--dfold", "5", "--n", "2"], 1),
+                (["endpoints", "--dfold", "5", "--n", "2"], 1),
+                (["sandpile", "--dfold", "5", "--radius", "4", "--rounds", "2"], 1)]
+
+
 def test_failed_write_leaves_the_output_directory_unchanged(tmp_path, capsys, monkeypatch):
     """Artifacts are written all or none: a later artifact's name taken by a
     directory is refused before the first write, and a failure of the k-th
-    write, for every k, removes the temporaries already written."""
+    write, for every command that writes and every k, removes the
+    temporaries already written."""
     out = tmp_path / "d"
     (out / "charpoly.svg").mkdir(parents=True)
     assert run(["charpoly", "--dfold", "5", "--out", str(out)]) == 2
@@ -157,21 +167,22 @@ def test_failed_write_leaves_the_output_directory_unchanged(tmp_path, capsys, mo
 
     (out / "charpoly.svg").rmdir()
     real_open = Path.open
-    for k in (1, 2):
-        opened = []
+    for argv, writes in WRITING_RUNS:
+        for k in range(1, writes + 1):
+            opened = []
 
-        def full_disk_on_kth(self, mode="r", *args, **kwargs):
-            if mode == "x":
-                opened.append(self.name)
-                if len(opened) == k:
-                    raise OSError(errno.ENOSPC, "No space left on device", str(self))
-            return real_open(self, mode, *args, **kwargs)
+            def full_disk_on_kth(self, mode="r", *args, **kwargs):
+                if mode == "x":
+                    opened.append(self.name)
+                    if len(opened) == k:
+                        raise OSError(errno.ENOSPC, "No space left on device", str(self))
+                return real_open(self, mode, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "open", full_disk_on_kth)
-        assert run(["charpoly", "--dfold", "5", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert len(opened) == k and list(out.iterdir()) == []
+            monkeypatch.setattr(Path, "open", full_disk_on_kth)
+            assert run(argv + ["--out", str(out)]) == 2, (argv, k)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, k, err)
+            assert len(opened) == k and list(out.iterdir()) == [], (argv, k)
 
 
 @pytest.mark.parametrize("command", ["converge", "corona", "endpoints"])
@@ -195,6 +206,16 @@ def test_tile_level_beyond_64_bits_exits_2(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err == "error: --tile line indices ki, kj must lie in (-2^63, 2^63)\n", err
             assert not out.exists()
+
+
+def test_empty_tile_exits_2(tmp_path, capsys):
+    """An empty --tile is refused like an empty --n, not read as no --tile."""
+    out = tmp_path / "out"
+    for command in ("converge", "corona", "endpoints"):
+        assert run([command, "--dfold", "5", "--tile", "", "--n", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --tile needs at least one number\n", err
+        assert not out.exists()
 
 
 def test_offsets_outside_the_unit_interval_fold_with_a_warning(tmp_path):
@@ -261,22 +282,30 @@ def drawn(good, bad=BAD):
     return st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from(bad))
 
 
+# config text is workable, or has one malformed line
+CONFIGS = ["dfold: 5\n", "angles: [0, 90]\noffsets: [0, 0]\n", "dfold: 5\nradius 3\n",
+           "dfold: 5\noffsets: [0.5, x]\n", "angles: [0, 90]\n: 2\n", "dfold: 3\ndfold: 3\n"]
+
+
 @st.composite
 def gen_and_sandpile_runs(draw):
-    """argv for gen or sandpile and a $CORONAGRID_MAX_CROSSINGS value (None:
-    unset).  The radius is always drawn, so no run lists a default-radius
-    window."""
+    """argv for gen or sandpile, a $CORONAGRID_MAX_CROSSINGS value (None:
+    unset) and the config text (None: the spec is given by flags).  The
+    radius is always drawn, so no run lists a default-radius window."""
     command = draw(st.sampled_from(["gen", "sandpile"]))
-    form, value = draw(st.sampled_from(SPECS))
-    argv = [command, form, value, "--radius", draw(drawn(["0.3", "3", "6"]))]
+    config = draw(st.one_of(st.none(), st.sampled_from(CONFIGS)))
+    argv = [command, "--radius", draw(drawn(["0.3", "3", "6"]))]
     if command == "sandpile":
         argv += ["--rounds", draw(drawn(["1", "3"]))]
-    if draw(st.booleans()):
-        d = int(value) if form == "--dfold" else value.count(",") + 1
-        count = draw(st.sampled_from([1, d, 2]))
-        offsets = st.lists(drawn(["0.1", "0.25", "0.5"]), min_size=count, max_size=count)
-        argv += ["--offsets", ",".join(draw(offsets))]
-    return argv, draw(drawn([None, "3000"], BAD_CAPS))
+    if config is None:
+        form, value = draw(st.sampled_from(SPECS))
+        argv += [form, value]
+        if draw(st.booleans()):
+            d = int(value) if form == "--dfold" else value.count(",") + 1
+            count = draw(st.sampled_from([1, d, 2]))
+            offsets = st.lists(drawn(["0.1", "0.25", "0.5"]), min_size=count, max_size=count)
+            argv += ["--offsets", ",".join(draw(offsets))]
+    return argv, draw(drawn([None, "3000"], BAD_CAPS)), config
 
 
 def tree(root: Path) -> list:
@@ -319,12 +348,10 @@ def test_gen_and_sandpile_keep_the_exit_contract(case):
 
 
 # --tile draws grids in and out of range and line indices from 0 to past
-# 64 bits and float range; config text is workable, or has one malformed line
+# 64 bits and float range
 TILE_GRIDS = ["0", "1", "2", "0", "1", "2", "-1", "7", "x"]
 TILE_LEVELS = ["0", "-3", "1.5", "x", *(str(s * k) for k in (10**12, 2**53, 2**63 - 1, 2**63)
                                      for s in (1, -1)), str(10**20), str(10**400)]
-CONFIGS = ["dfold: 5\n", "angles: [0, 90]\noffsets: [0, 0]\n", "dfold: 5\nradius 3\n",
-           "dfold: 5\noffsets: [0.5, x]\n", "angles: [0, 90]\n: 2\n", "dfold: 3\ndfold: 3\n"]
 
 
 @st.composite
@@ -468,3 +495,28 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_top_level_function_and_class_has_a_caller():
+    """Every top-level def and class of a coronagrid module (bar __init__.py)
+    is read by library code outside its own body, or named by the
+    benchmark in perfbench/, which looks names up at run time.  This is the
+    check for functions that only the tests call."""
+    package = Path(coronagrid.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    bench = "\n".join(path.read_text()
+                      for path in sorted((package.parents[1] / "perfbench").glob("*.py")))
+    read = {(module, n): {node.id if isinstance(node, ast.Name) else node.attr
+                          for node in ast.walk(top)
+                          if isinstance(node, (ast.Name, ast.Attribute))}
+            for module, tree in trees.items() for n, top in enumerate(tree.body)}
+    uncalled = []
+    for module, tree in trees.items():
+        for n, top in enumerate(tree.body):
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and not any(top.name in names for at, names in read.items()
+                                if at != (module, n))
+                    and not re.search(rf"\b{top.name}\b", bench)):
+                uncalled.append(f"{module}:{top.lineno} {top.name}")
+    assert uncalled == [], f"only the tests call {uncalled}"

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from coronagrid import geom
 from coronagrid.certify import random_multigrid
 from coronagrid.dual import tiling_window
-from coronagrid.errors import DegenerateInput, NonPositiveRatio
+from coronagrid.errors import DegenerateInput
 
 
 def rand_point(rng, scale=10.0):
@@ -222,32 +222,16 @@ def test_hausdorff_scales_with_homothety():
     p, q = _random_polygon(rng), _random_polygon(rng)
     h = geom.hausdorff_distance(p, q)
     for lam in (0.5, 2.0, 10.0):
-        hs = geom.hausdorff_distance(geom.scale_polygon(p, lam),
-                                     geom.scale_polygon(q, lam))
+        hs = geom.hausdorff_distance(geom.convex_hull([lam * v for v in p.vertices]),
+                                     geom.convex_hull([lam * v for v in q.vertices]))
         assert hs == pytest.approx(lam * h, abs=1e-9)
 
 
 # scaling -------------------------------------------------------------------
 
-def test_scale_identity():
-    p = unit_square()
-    assert geom.scale_polygon(p, 1.0).vertices == p.vertices
-
-
-def test_scale_square_about_origin():
-    p = geom.scale_polygon(unit_square(), 2.0)
-    assert 2 + 2j in p.vertices
-
-
 def test_scale_charpolygon_vertices():
     from coronagrid import MultigridSpec, grid_char_polygon
     chi = grid_char_polygon(MultigridSpec.dfold(5, 0.5))
-    scaled = geom.scale_polygon(chi.polygon, 7.0)
+    scaled = chi.scaled_vertices(7.0)
     expected = {7.0 * v for v in chi.vertices}
-    assert all(any(abs(v - e) < 1e-12 for e in expected) for v in scaled.vertices)
-
-
-def test_scale_rejects_nonpositive_ratio():
-    with pytest.raises(NonPositiveRatio):
-        geom.scale_polygon(unit_square(), 0.0)
-
+    assert all(any(abs(v - e) < 1e-12 for e in expected) for v in scaled)

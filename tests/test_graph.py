@@ -13,7 +13,7 @@ from coronagrid import analysis, graph, io as cio, multigrid as mg
 from coronagrid.certify import random_multigrid
 from coronagrid.errors import CoronagridError, ResourceLimit, Unreachable, ValidationError
 from coronagrid.multigrid import LineId, MultigridSpec
-from specs import crossing_of, walk_specs
+from specs import crossing_of, segment_crossings, walk_specs
 
 
 def square_crossing(square, x, y):
@@ -56,9 +56,7 @@ def test_neighbors_consecutive_along_line(pentagrid):
             t_next = pentagrid.line_parameter(line, successors[0].point)
             # margin above the walk's snap tolerance so neither endpoint
             # crossing is re-included
-            between = mg.crossings_on_segment(pentagrid, line, t + 1e-6,
-                                              t_next - 1e-6)
-            assert between == []
+            assert segment_crossings(pentagrid, line, t + 1e-6, t_next - 1e-6) == []
 
 
 # corona steps ----------------------------------------------------------------
@@ -164,16 +162,16 @@ def test_layers_and_distance_match_visited_set_bfs(spec, n_max, data):
 
 
 def segment_neighbors(spec, c):
-    """Reference for the line walk from the closed-form-and-sort segment
-    listing: per line of c (a, then b), the line, c's parameter on it, and
-    the crossings just after and just before c.  Every other grid crosses
-    the line within `half` on either side."""
+    """Reference for the line walk from the closed-form-and-sort listing of
+    line_crossings, walked through c: per line of c (a, then b), the line,
+    c's parameter on it, and the crossings just after and just before c.
+    Every other grid crosses the line within `half` on either side."""
     half = max(1.0 / abs(spec.cross(i, l))
                for i in (c.a.grid, c.b.grid) for l in range(spec.d) if l != i)
     out = []
     for line in (c.a, c.b):
         t = spec.line_parameter(line, c.point)
-        on_line = mg.crossings_on_segment(spec, line, t - half, t + half)
+        on_line = segment_crossings(spec, line, t - half, t + half)
         at = on_line.index(c)
         assert 0 < at < len(on_line) - 1
         out.append((line, t, on_line[at + 1], on_line[at - 1]))
@@ -441,7 +439,7 @@ def test_distance_reflexive_and_edge(pentagrid):
 
 def test_distance_along_line_counts_crossings(pentagrid):
     line = LineId(2, 1)
-    cs = mg.crossings_on_segment(pentagrid, line, -4.0, 4.0)
+    cs = segment_crossings(pentagrid, line, -4.0, 4.0)
     a, b = cs[0], cs[-1]
     k = len(cs) - 2
     assert graph.graph_distance(pentagrid, a, b, cap=60) == k + 1
@@ -449,7 +447,7 @@ def test_distance_along_line_counts_crossings(pentagrid):
 
 def test_distance_cap_unreachable(pentagrid):
     line = LineId(0, 0)
-    cs = mg.crossings_on_segment(pentagrid, line, 0.0, 8.0)
+    cs = segment_crossings(pentagrid, line, 0.0, 8.0)
     with pytest.raises(Unreachable):
         graph.graph_distance(pentagrid, cs[0], cs[-1], cap=2)
 
@@ -462,7 +460,7 @@ def test_straight_line_shortest_on_seven_grid():
         i = rng.randrange(7)
         line = LineId(i, rng.randint(-5, 5))
         t0 = rng.uniform(-6, 2)
-        cs = mg.crossings_on_segment(spec, line, t0, t0 + 3.0)
+        cs = segment_crossings(spec, line, t0, t0 + 3.0)
         if len(cs) < 2:
             continue
         p = rng.randrange(len(cs) - 1)

@@ -19,7 +19,7 @@ from coronagrid.errors import (
     ValidationError,
 )
 from coronagrid.multigrid import LineId, MultigridSpec
-from specs import walk_specs
+from specs import segment_crossings, walk_specs
 
 
 # spec construction ---------------------------------------------------------
@@ -194,24 +194,27 @@ def test_check_regular_matches_spatial_hash(window):
 # crossings on a segment ----------------------------------------------------
 
 def test_segment_square_unit_spacing(square):
-    cs = mg.crossings_on_segment(square, LineId(0, 0), 0.0, 3.5)
+    cs = segment_crossings(square, LineId(0, 0), 0.0, 3.5)
     assert [c.point for c in cs] == [pytest.approx(complex(0, t)) for t in (1, 2, 3)]
 
 
 def test_segment_empty_interval(pentagrid):
-    assert mg.crossings_on_segment(pentagrid, LineId(0, 0), 5.0, 5.0) == []
+    """(t, t] holds no crossing: a walk from t starts strictly beyond it."""
+    for direction in (1, -1):
+        t, _, _ = next(mg.line_crossings(pentagrid, LineId(0, 0), 5.0, direction))
+        assert direction * (t - 5.0) > 0
 
 
 def test_segment_refuses_coincident_crossings():
     # all five zero-offset lines meet at the origin
     spec = MultigridSpec.dfold(5, 0.0)
     with pytest.raises(mg.SingularMultigrid):
-        mg.crossings_on_segment(spec, LineId(0, 0), -1.0, 1.0)
+        segment_crossings(spec, LineId(0, 0), -1.0, 1.0)
 
 
 def test_segment_pentagrid_count_and_oracle(pentagrid):
     line = LineId(0, 0)
-    cs = mg.crossings_on_segment(pentagrid, line, 0.0, 10.0)
+    cs = segment_crossings(pentagrid, line, 0.0, 10.0)
     assert 28 <= len(cs) <= 34
     # independent oracle: scan integer levels per other grid
     expected = set()
@@ -227,20 +230,24 @@ def test_segment_pentagrid_count_and_oracle(pentagrid):
 
 
 def test_segment_is_sorted_and_consistent_with_counts(pentagrid):
+    """count_crossings_with_grid against a loop of next_crossing_on_line
+    steps, which shares no code with _levels_on_segment."""
     rng = Random(5)
     for _ in range(50):
         i = rng.randrange(5)
         line = LineId(i, rng.randint(-10, 10))
         t0 = rng.uniform(-20, 10)
         alpha = rng.uniform(0.1, 15)
-        cs = mg.crossings_on_segment(pentagrid, line, t0, t0 + alpha)
-        ts = [pentagrid.line_parameter(line, c.point) for c in cs]
+        walk = stepped_walk(pentagrid, line, t0, 1, int(alpha * 4) + 4)
+        assert float(walk[-1][0]) > t0 + alpha
+        cs = [(float(t), key) for t, key, _ in walk if float(t) <= t0 + alpha]
+        ts = [t for t, _ in cs]
         assert ts == sorted(ts)
         z0 = pentagrid.line_point(line, t0)
         for j in range(5):
             if j == i:
                 continue
-            n_j = sum(1 for c in cs if j in (c.a.grid, c.b.grid))
+            n_j = sum(1 for _, key in cs if j in (key[0], key[2]))
             assert n_j == mg.count_crossings_with_grid(pentagrid, line, z0, alpha, j)
 
 
@@ -294,11 +301,12 @@ def test_nth_crossing_square(square):
 def test_nth_crossing_matches_segment_list(pentagrid):
     line = LineId(1, 2)
     start = pentagrid.line_point(line, -3.7)
-    cs = mg.crossings_on_segment(pentagrid, line, -3.7, 30.0)
-    back = mg.crossings_on_segment(pentagrid, line, -40.0, -3.7)[::-1]
+    t = pentagrid.line_parameter(line, start)
+    ahead = stepped_walk(pentagrid, line, t, +1, 20)
+    back = stepped_walk(pentagrid, line, t, -1, 20)
     for n in (1, 5, 20):
-        assert mg.nth_crossing(pentagrid, line, start, +1, n) == cs[n - 1]
-        assert mg.nth_crossing(pentagrid, line, start, -1, n) == back[n - 1]
+        assert mg.nth_crossing(pentagrid, line, start, +1, n).key == ahead[n - 1][1]
+        assert mg.nth_crossing(pentagrid, line, start, -1, n).key == back[n - 1][1]
 
 
 def test_nth_crossing_speed_matches_spacing(pentagrid):
@@ -433,6 +441,21 @@ def test_line_crossings_match_stepped_walk(spec, data):
         for direction in (1, -1):
             assert (chunked_walk(spec, line, t, direction, 150)
                     == stepped_walk(spec, line, t, direction, 150))
+
+
+def test_line_crossings_refusal_names_the_stepped_parameter():
+    """Where the two nearest candidates tie in their distance from the start,
+    line_steps names the lower grid's parameter, 0.0 here, and the chunked
+    walk names the same, not that of its own first candidate, 2.7e-44."""
+    normals = ((1+0j), (0.9998476951563913+0.01745240643728351j),
+               (0.9993908270190958+0.03489949670250097j),
+               (0.9986295347545738+0.052335956242943835j))
+    spec = MultigridSpec(normals, (0.0, 0.0, 0.0, 1.401298464324817e-45))
+    line = LineId(0, 0)
+    t = spec.line_parameter(line, mg.crossing_point(spec, line, (1, 1)))
+    want = stepped_walk(spec, line, t, -1, 150)
+    assert want[-1][1].endswith("near parameter 0.0")
+    assert chunked_walk(spec, line, t, -1, 150) == want
 
 
 @pytest.mark.xfail(strict=True, reason="line_steps can return the crossing it starts from "
