@@ -22,10 +22,9 @@ from . import geom
 from .dual import corner_tables, linear_dual
 from .errors import GridNotRepresented, ResourceLimit, ValidationError
 from .geom import hull_chain, hull_chain_xy, perp
-from .graph import CoronaSequence, Patch, bfs_layers, corona_layers
+from .graph import CoronaSequence, Patch, corona_layers
 from .multigrid import (CAP_ENV, Key, LineId, MultigridSpec, crossing_pairs, crossing_point,
-                        default_crossing_cap, dominant_lines, frontier_neighbor_keys,
-                        line_crossings)
+                        default_crossing_cap, dominant_lines, line_crossings)
 
 Side = Literal["multigrid", "tiling"]
 
@@ -157,14 +156,13 @@ def grow_until_dominant(
     line through them, then choose dominant lines.  Returns (keys, lines, steps).
 
     Raises GridNotRepresented, naming the grids still missing, after
-    _dominant_steps(d) steps.  The grids met so far are tracked layer by
-    layer, so each key is read once before the lines are chosen.
+    _dominant_steps(d) steps, and ResourceLimit as corona_layers does.  The
+    grids met so far are tracked layer by layer, so each key is read once
+    before the lines are chosen.
     """
-    layers = bfs_layers((c.key for c in patch.crossings),
-                        partial(frontier_neighbor_keys, spec))
     ball: set[Key] = set()
     seen: set[int] = set()
-    for steps, layer in enumerate(islice(layers, _dominant_steps(spec.d) + 1)):
+    for steps, layer in enumerate(corona_layers(spec, patch, _dominant_steps(spec.d))):
         ball |= layer
         for i, _, j, _ in layer:
             seen.add(i)
@@ -195,7 +193,8 @@ def endpoints_diagnostic(
     patch's crossing of largest (+1) and smallest (-1) parameter; step n
     gives the 2d endpoints of row n.  Rows divide by max(n, 1), so the n = 0
     row is the raw hull, which may be a single point.  Raises ResourceLimit
-    first when the walks would pass more crossings than the crossing cap.
+    first when the walks would pass more crossings than the crossing cap,
+    and when the growth passes it.
     """
     ns = sorted(ns)
     if not ns or ns[0] < 0:

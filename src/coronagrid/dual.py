@@ -127,21 +127,20 @@ class TilingWindow:
     """All tiles dual to crossings within `radius` of the origin, as packed
     tables.
 
-    Tile n is dual to the crossing with key ``key(n)``; ``keys()`` iterates
-    the keys in window_keys order (that of enumerate_crossings), and
-    ``index(key)`` finds a key's tile.  ``corners[4n:4n + 4]`` index tile
-    n's corners, in corner_tables' boundary order, into the vertex table:
-    ``vertex_keys()`` iterates the vertex keys, and vertex m lies at
-    ``positions[m]``.  ``key_order`` lists the tile indices sorted
-    by crossing key.  The keys (4 ints per tile), the corners, the vertex
-    keys (d ints per vertex) and ``key_order`` are flat array('q') tables,
-    and only this class reads the key layouts: with the positions, a
-    radius-30 pentagrid window holds about 157 B per tile.  The tile set is
-    crossing-ball shaped (selected by crossing position), matching the
-    graph exploration, so vertex positions may exceed the nominal radius by
-    the linear-dual stretch factor.  Immutable by convention once built.
-    The writers, the scene, the sandpile and the edge-to-edge audit read
-    the tables.
+    Tile n is dual to the crossing with key ``key(n)``; the tiles are in
+    ascending key order, as window_keys lists them, so ``keys()`` iterates
+    the keys sorted and ``index(key)`` finds a key's tile by binary search.
+    ``corners[4n:4n + 4]`` index tile n's corners, in corner_tables'
+    boundary order, into the vertex table: ``vertex_keys()`` iterates the
+    vertex keys, and vertex m lies at ``positions[m]``.  The keys (4 ints
+    per tile), the corners and the vertex keys (d ints per vertex) are flat
+    array('q') tables, and only this class reads the key layouts: with the
+    positions, a radius-30 pentagrid window holds about 149 B per tile.
+    The tile set is crossing-ball shaped (selected by crossing position),
+    matching the graph exploration, so vertex positions may exceed the
+    nominal radius by the linear-dual stretch factor.  Immutable by
+    convention once built.  The writers, the scene, the sandpile and the
+    edge-to-edge audit read the tables.
     """
 
     spec: MultigridSpec
@@ -150,7 +149,6 @@ class TilingWindow:
     corners: array
     _vertex_keys: array
     positions: list[complex]
-    key_order: array
 
     def __len__(self) -> int:
         return len(self._keys) // 4
@@ -166,11 +164,10 @@ class TilingWindow:
 
     def index(self, key: Key) -> int:
         """The tile of the crossing with this key; ValueError if none."""
-        order = self.key_order
-        pos = bisect_left(order, key, key=self.key)
-        if pos == len(order) or self.key(order[pos]) != key:
+        pos = bisect_left(range(len(self)), key, key=self.key)
+        if pos == len(self) or self.key(pos) != key:
             raise ValueError(f"{key} is not a window tile")
-        return order[pos]
+        return pos
 
     def vertex_keys(self) -> Iterator[tuple[int, ...]]:
         """The vertex keys, in vertex order."""
@@ -181,16 +178,15 @@ def tiling_window(spec: MultigridSpec, radius: float) -> TilingWindow:
     """The dual-tiling window over all crossings with |point| <= radius.
 
     The crossing keys come straight from the window's lines (window_keys),
-    and one corner_tables pass gives every tile's corners, so each vertex is
-    positioned once and no Crossing is built; the tables are then packed
-    once.  Raises ValidationError and ResourceLimit as window_keys does, and
-    SingularMultigrid if any crossing in the window has a third line within
-    EPS_SINGULAR.
+    already in key order, and one corner_tables pass gives every tile's
+    corners, so each vertex is positioned once and no Crossing is built;
+    the tables are then packed once.  Raises ValidationError and
+    ResourceLimit as window_keys does, and SingularMultigrid if any crossing
+    in the window has a third line within EPS_SINGULAR.
     """
     keys = window_keys(spec, radius)
-    order = array("q", sorted(range(len(keys)), key=keys.__getitem__))
     packed = array("q", chain.from_iterable(keys))
     del keys   # the list of key tuples is the largest table: free it first
     corners, vertex_keys, positions = corner_tables(spec, zip(*[iter(packed)] * 4))
     return TilingWindow(spec, radius, packed, array("q", corners),
-                        array("q", chain.from_iterable(vertex_keys)), positions, order)
+                        array("q", chain.from_iterable(vertex_keys)), positions)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import ResourceLimit, Unreachable, ValidationError
@@ -36,7 +36,7 @@ Node = TypeVar("Node", bound=Hashable)
 
 
 def neighbors(spec: MultigridSpec, c: Crossing) -> list[Crossing]:
-    """The 4 adjacent crossings, in the order of neighbor_keys."""
+    """The 4 adjacent crossings, in neighbor_keys order (perfbench traces it)."""
     return [make_crossing(spec, LineId(i, ki), LineId(j, kj))
             for i, ki, j, kj in neighbor_keys(spec, c.key)]
 
@@ -74,10 +74,10 @@ def bfs_layers(
 
 
 def corona_step(spec: MultigridSpec, patch: Patch) -> Patch:
-    """One growth step: the patch plus every crossing adjacent to it."""
-    layers = bfs_layers(patch.crossings,
-                        lambda layer: {nb for c in layer for nb in neighbors(spec, c)})
-    return Patch(frozenset().union(*islice(layers, 2)))
+    """One growth step: the patch plus its neighbors, from corona_layers."""
+    return Patch(frozenset(make_crossing(spec, LineId(i, ki), LineId(j, kj))
+                           for layer in corona_layers(spec, patch, 1)
+                           for i, ki, j, kj in layer))
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,11 @@ def corona_layers(spec: MultigridSpec, patch: Patch, n_max: int) -> Iterator[fro
     """The first n_max + 1 layers of bfs_layers from the patch's keys, as
     frozensets of crossing keys (empty past a finite graph's last layer).
 
-    Only the layers bfs_layers needs are held, so a consumer that does not
-    keep them walks in memory proportional to the frontier.  A layer that
-    takes the running total past the crossing cap ($CORONAGRID_MAX_CROSSINGS)
-    raises ResourceLimit instead of being yielded; the base patch itself is
-    never refused.
+    Every walk of the crossing graph reads this stream.  Only the layers
+    bfs_layers needs are held, so a consumer that does not keep them walks
+    in memory proportional to the frontier.  A layer that takes the running
+    total past the crossing cap ($CORONAGRID_MAX_CROSSINGS) raises
+    ResourceLimit instead of being yielded; the base patch is never refused.
     """
     cap = default_crossing_cap()
     layers = bfs_layers((c.key for c in patch.crossings),
@@ -159,14 +159,13 @@ def corona_sequence(spec: MultigridSpec, patch: Patch, n_max: int) -> CoronaSequ
 def graph_distance(
     spec: MultigridSpec, a: Crossing, b: Crossing, cap: int,
 ) -> int:
-    """Exact BFS distance between two crossings; raises Unreachable beyond cap.
+    """Exact BFS distance between two crossings, read from corona_layers;
+    raises Unreachable beyond cap and ResourceLimit past the crossing cap.
 
     This is the oracle the shortest-path facts are checked against; it never
     assumes anything about path shapes.
     """
-    for dist, layer in enumerate(bfs_layers([a.key], partial(frontier_neighbor_keys, spec))):
+    for dist, layer in enumerate(corona_layers(spec, Patch(frozenset([a])), cap)):
         if b.key in layer:
             return dist
-        if dist >= cap:
-            break
     raise Unreachable(f"distance({a.key}, {b.key}) > {cap}")

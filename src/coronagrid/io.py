@@ -209,13 +209,12 @@ TYPE_FILLS = ["#c6dbef", "#fdd0a2", "#c7e9c0", "#dadaeb", "#f2b8c6",
 class TilesLayer:
     """Rhombi as tables: ``corners[4n:4n + 4]`` index tile n's corners, in
     boundary order, into ``positions``; ``fills[n]`` is its fill, and the
-    tiles are drawn in ``order``.  A scene builder passes the tables it
+    tiles are drawn in table order.  A scene builder passes the tables it
     reads (a window's, corner_tables') without copying them."""
 
     positions: Sequence[complex]
     corners: Sequence[int]
     fills: Sequence[str]
-    order: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -272,10 +271,10 @@ def render_svg(scene: SceneSpec) -> str:
                        f'stroke-linejoin="round">')
             cells = list(map(_cell, layer.positions))
             corners, fills = layer.corners, layer.fills
-            for n in layer.order:
+            for n, fill in enumerate(fills):
                 a, b, c, e = corners[4 * n:4 * n + 4]
                 out.append(f'<path d="M{cells[a]} L{cells[b]} L{cells[c]} L{cells[e]} Z" '
-                           f'fill="{fills[n]}"/>')
+                           f'fill="{fill}"/>')
             # the joined document is the peak of memory: free the texts first
             del cells
             out.append("</g>")
@@ -290,15 +289,15 @@ def render_svg(scene: SceneSpec) -> str:
 
 
 def _layer_empty(layer: Layer) -> bool:
-    return not (layer.order if isinstance(layer, TilesLayer) else layer.vertices)
+    return not (layer.fills if isinstance(layer, TilesLayer) else layer.vertices)
 
 
 # scene builders ------------------------------------------------------------
 
 def tiling_scene(window: TilingWindow) -> SceneSpec:
     """Window tiles in crossing-key order, filled by crossing type (grid
-    pair).  The layer holds the window's own position, corner and key-order
-    tables, and one fill reference per tile."""
+    pair).  The layer holds the window's own position and corner tables,
+    and one fill reference per tile."""
     spec = window.spec
     fills = {}
     for i in range(spec.d):
@@ -306,8 +305,7 @@ def tiling_scene(window: TilingWindow) -> SceneSpec:
             fills[(i, j)] = TYPE_FILLS[len(fills) % len(TYPE_FILLS)]
     tile_fills = [fills[i, j] for i, _, j, _ in window.keys()]
     extent = window.radius * spec.d / 2 + 2.0
-    return SceneSpec(extent, (TilesLayer(window.positions, window.corners, tile_fills,
-                                         window.key_order),))
+    return SceneSpec(extent, (TilesLayer(window.positions, window.corners, tile_fills),))
 
 
 def corona_scene(
@@ -326,7 +324,7 @@ def corona_scene(
         keys += layer
         fills += [palette[n]] * len(layer)
     corners, _, positions = corner_tables(spec, keys)
-    layers: list[Layer] = [TilesLayer(positions, corners, fills, range(len(fills)))]
+    layers: list[Layer] = [TilesLayer(positions, corners, fills)]
     extent = max([1.0, *map(abs, positions)])
     if overlay is not None:
         layers.append(PolygonLayer(tuple(overlay.scaled_vertices(seq.n_max))))
@@ -372,8 +370,8 @@ def write_frontiers_csv(seq: CoronaSequence, fp: TextIO) -> None:
 
 
 def write_tiles_csv(window: TilingWindow, fp: TextIO) -> None:
-    """One record per tile, in crossing-key order: grid pair, line indices,
-    corner keys and positions.
+    """One record per tile, in tile order (crossing-key order): grid pair,
+    line indices, corner keys and positions.
 
     Corners walk the rhombus boundary; keys are space-joined integers.
     Each vertex's cells are formatted once, from the window's vertex table.
@@ -384,9 +382,8 @@ def write_tiles_csv(window: TilingWindow, fp: TextIO) -> None:
     fp.write(",".join(head) + "\n")
     key_cells = [" ".join(map(str, key)) for key in window.vertex_keys()]
     xy_cells = [f"{p.real!r},{p.imag!r}" for p in window.positions]
-    key, corners = window.key, window.corners
-    for n in window.key_order:
-        i, ki, j, kj = key(n)
+    corners = window.corners
+    for n, (i, ki, j, kj) in enumerate(window.keys()):
         a, b, c, e = corners[4 * n:4 * n + 4]
         fp.write(f"{i},{j},{ki},{kj},{key_cells[a]},{key_cells[b]},{key_cells[c]},"
                  f"{key_cells[e]},{xy_cells[a]},{xy_cells[b]},{xy_cells[c]},{xy_cells[e]}\n")

@@ -682,13 +682,15 @@ def _window_lines(spec: MultigridSpec, radius: float) -> list[_WindowLine]:
 
 
 def _chord_keys(lines: list[_WindowLine]) -> list[Key]:
-    """The keys of the window's crossings, each from the line of its lower grid."""
-    return [(i, k, j, m) for (i, k), chord in lines for j, ms, _, _ in chord if j > i for m in ms]
+    """The keys of the window's crossings, each from the line of its lower
+    grid, ascending: lines and chords come in grid order, levels ascending."""
+    return [(i, k, j, m) for (i, k), chord in lines for j, ms, _, _ in chord if j > i
+            for m in (ms if ms.step > 0 else ms[::-1])]
 
 
 def window_keys(spec: MultigridSpec, radius: float) -> list[Key]:
     """The keys of all crossings with |point| <= radius, each exactly once,
-    line by line.
+    in ascending key order.
 
     Raises ResourceLimit, before listing any, when the disk would hold
     more than default_crossing_cap() (see _window_lines).
@@ -698,7 +700,7 @@ def window_keys(spec: MultigridSpec, radius: float) -> list[Key]:
 
 def enumerate_crossings(spec: MultigridSpec, radius: float) -> list[Crossing]:
     """All crossings with |point| <= radius, each exactly once, in
-    window_keys order."""
+    ascending key order, as window_keys lists them."""
     return [make_crossing(spec, LineId(i, ki), LineId(j, kj))
             for i, ki, j, kj in window_keys(spec, radius)]
 

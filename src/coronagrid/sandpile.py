@@ -12,7 +12,7 @@ the avalanche within graph distance 2 of the window boundary (enforced by
 BoundaryContamination), so only degree-4 tiles ever topple and grain count
 is exactly conserved.
 
-The state is held on tile indices, in the window's tile order: neighbor
+The state is held on tile indices, in the window's key order: neighbor
 lists, grain counts and first-toppling rounds.  A toppled set is handed out
 as the window's crossing keys, the form CoronaSequence.corona gives, and
 corona_comparison holds both against each other round by round.
@@ -66,7 +66,7 @@ def window_adjacency(window: TilingWindow) -> list[tuple[int, ...]]:
 @dataclass
 class SandpileConfig:
     """Grain state over a window plus the first-toppling round per tile,
-    every field indexed by tile position in window order."""
+    every field indexed by tile position in the window (key order)."""
 
     window: TilingWindow
     neighbors: list[tuple[int, ...]]
@@ -111,9 +111,9 @@ def add_grain_and_topple(
     """Drop one grain on `at` and run synchronous toppling rounds.
 
     Returns a new configuration; records the first round each tile toppled.
-    Raises BoundaryContamination as soon as any toppling tile comes within
-    graph distance 2 of the window boundary, because from then on the finite
-    window no longer emulates the infinite tiling.
+    Raises BoundaryContamination, naming the least such key, as soon as a
+    toppling tile comes within graph distance 2 of the window boundary, as
+    from then on the finite window no longer emulates the infinite tiling.
 
     Round 1 scans every tile; after that only the previous round's topplers
     and their neighbors can have become unstable (every other tile neither

@@ -270,6 +270,18 @@ def test_ball_over_the_crossing_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert 0 < len(expanded) <= 10 and sum(expanded) <= 100
 
 
+def test_endpoint_growth_over_the_crossing_cap_exits_2(tmp_path, capsys, monkeypatch):
+    """endpoints grows its patch under the crossing cap: the pentagrid's
+    nearest crossing meets every grid after two steps, 12 crossings, so a
+    cap of 10 exits 2 with one line and no files."""
+    monkeypatch.setenv("CORONAGRID_MAX_CROSSINGS", "10")
+    out = tmp_path / "out"
+    assert run(["endpoints", "--dfold", "5", "--n", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: corona growth exceeded 10 crossings (set $CORONAGRID_MAX_CROSSINGS)\n"
+    assert not out.exists()
+
+
 # --radius, --rounds, --offsets and $CORONAGRID_MAX_CROSSINGS each draw a
 # workable value two times in three, else a bad one: negative, zero, nan,
 # inf, huge, non-numeric or empty
@@ -520,3 +532,23 @@ def test_every_top_level_function_and_class_has_a_caller():
                     and not re.search(rf"\b{top.name}\b", bench)):
                 uncalled.append(f"{module}:{top.lineno} {top.name}")
     assert uncalled == [], f"only the tests call {uncalled}"
+
+
+def test_every_walk_of_the_crossing_graph_reads_corona_layers():
+    """In library code, frontier_neighbor_keys is read only inside
+    graph.corona_layers, and bfs_layers only there and in
+    sandpile._boundary_halo (a walk over window tiles), so the crossing cap
+    bounds every walk of the crossing graph, and a per-layer check placed
+    in corona_layers sees them all."""
+    allowed = {"frontier_neighbor_keys": {"graph.corona_layers"},
+               "bfs_layers": {"graph.corona_layers", "sandpile._boundary_halo"}}
+    offending = []
+    for path in sorted(Path(coronagrid.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if (isinstance(getattr(node, "ctx", None), ast.Load) and name in allowed
+                        and where not in allowed[name]):
+                    offending.append(f"{where} reads {name}; read graph.corona_layers instead")
+    assert offending == []

@@ -428,6 +428,45 @@ def test_corona_sequence_resource_cap(pentagrid, monkeypatch):
         graph.corona_sequence(pentagrid, graph.Patch(frozenset([seed])), 20)
 
 
+def test_every_walk_is_capped(pentagrid, monkeypatch):
+    """graph_distance, corona_step and grow_until_dominant read
+    corona_layers, so each refuses past $CORONAGRID_MAX_CROSSINGS.  From
+    the nearest crossing the layers hold 1, 4, 7, ... crossings, and
+    grow_until_dominant needs two steps."""
+    seed = mg.nearest_crossing(pentagrid)
+    sixth = mg.nth_crossing(pentagrid, seed.a, seed.point, +1, 6)
+    assert graph.graph_distance(pentagrid, seed, sixth, cap=20) == 6
+    patch = graph.Patch(frozenset([seed]))
+    ball = graph.corona_step(pentagrid, patch)   # 5 crossings; one more step holds 12
+    monkeypatch.setenv(mg.CAP_ENV, "10")
+    refusal = "corona growth exceeded 10 crossings"
+    with pytest.raises(ResourceLimit, match=refusal):
+        graph.graph_distance(pentagrid, seed, sixth, cap=20)
+    with pytest.raises(ResourceLimit, match=refusal):
+        graph.corona_step(pentagrid, ball)
+    with pytest.raises(ResourceLimit, match=refusal):
+        analysis.grow_until_dominant(pentagrid, patch)
+
+
+@pytest.mark.parametrize("k", [0, 10**6, pytest.param(10**8, marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 11: far out the neighbor relation turns one-way "
+    "(levels of size |k| against an absolute _SNAP), so old crossings come back as new"))])
+def test_far_out_seed_grows_a_near_origin_corona(pentagrid, k):
+    """From seed (0, k, 1, 0), P_25 holds about as many crossings as near
+    the origin: 1,520 at k = 0 and 10^6.  At k = 10^8 it holds 3,159."""
+    seed = graph.Patch(frozenset([crossing_of(pentagrid, (0, k, 1, 0))]))
+    assert 1_500 <= graph.corona_sequence(pentagrid, seed, 25).sizes()[25] <= 1_560
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: past 2^53 a line index is not "
+                   "exact in floats, and growth loses crossings")
+def test_square_grid_far_out_seed_grows_the_lattice_ball(square):
+    """From (0, 2^53 + 1, 1, 0) the first coronas hold 1, 5 and 13
+    crossings, as from the origin; they hold 1, 4 and 10."""
+    seed = graph.Patch(frozenset([square_crossing(square, 2**53 + 1, 0)]))
+    assert graph.corona_sequence(square, seed, 2).sizes() == [1, 5, 13]
+
+
 # distances ---------------------------------------------------------------------
 
 def test_distance_reflexive_and_edge(pentagrid):

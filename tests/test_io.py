@@ -196,7 +196,7 @@ def test_shared_corners_keep_their_own_text():
     compare equal) print apart."""
     positions = [complex(0.0, 0.0), 1 + 1j, 1 + 0.5j, 0.5 + 0.25j,
                  complex(-0.0, -0.0), complex(0.0, -0.0)]
-    layer = cio.TilesLayer(positions, [0, 1, 2, 3, 4, 1, 5, 3], ["#000000", "#111111"], [0, 1])
+    layer = cio.TilesLayer(positions, [0, 1, 2, 3, 4, 1, 5, 3], ["#000000", "#111111"])
     scene = cio.SceneSpec(2.0, (layer,))
     doc = cio.render_svg(scene)
     paths = [el.attrib["d"] for el in ET.fromstring(doc).iter() if el.tag.endswith("path")]
@@ -210,9 +210,9 @@ def test_empty_scene_raises():
     with pytest.raises(EmptyScene):
         cio.render_svg(cio.SceneSpec(1.0, ()))
     with pytest.raises(EmptyScene):
-        cio.render_svg(cio.SceneSpec(1.0, (cio.TilesLayer((), (), (), ()),)))
+        cio.render_svg(cio.SceneSpec(1.0, (cio.TilesLayer((), (), ()),)))
     with pytest.raises(EmptyScene):   # tables, but nothing to draw
-        cio.render_svg(cio.SceneSpec(1.0, (cio.TilesLayer([0j] * 4, range(4), ["#000000"], ()),)))
+        cio.render_svg(cio.SceneSpec(1.0, (cio.TilesLayer([0j] * 4, range(4), ()),)))
 
 
 # the tuple renderer, reference for render_svg's tables ------------------------
@@ -234,11 +234,11 @@ def reference_path(points, cells):
 
 def reference_render(scene):
     """render_svg on tuple tiles: each tiles layer is first copied out as
-    (corner cycle, fill) pairs in draw order, and every path is built point
+    (corner cycle, fill) pairs in table order, and every path is built point
     by point through one complex-keyed text cache shared by all layers."""
     def cycles(layer):
         return [(tuple(layer.positions[m] for m in layer.corners[4 * n:4 * n + 4]),
-                 layer.fills[n]) for n in layer.order]
+                 fill) for n, fill in enumerate(layer.fills)]
 
     layers = [cycles(layer) if isinstance(layer, cio.TilesLayer) else layer
               for layer in scene.layers]

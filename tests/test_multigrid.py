@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coronagrid import analysis, graph, multigrid as mg
+from coronagrid import analysis, dual, graph, multigrid as mg
 from coronagrid.certify import random_multigrid
 from coronagrid.errors import (
     CoronagridError,
@@ -549,6 +549,38 @@ def test_enumerate_crossings_unique_and_in_disk(pentagrid):
     cs = mg.enumerate_crossings(pentagrid, 6.0)
     assert len(cs) == len({c.key for c in cs})
     assert all(abs(c.point) <= 6.0 + 1e-6 for c in cs)
+
+
+@given(spec=st.just(MultigridSpec.dfold(5, 0.5))
+       | st.builds(random_multigrid, st.integers(3, 9), st.integers(0, 10**6))
+       | walk_specs(),
+       radius=st.floats(0.0, 6.0))
+@example(spec=MultigridSpec.dfold(5, 0.5), radius=6.0)
+def test_window_lists_keys_in_ascending_order(spec, radius):
+    """window_keys lists each key once, in ascending order, with no sort:
+    a chord whose grids cross with cross(i, j) < 0 lists its levels
+    ascending too.  The tiling window keeps that order, so keys() is sorted
+    and index(key(n)) == n."""
+    keys = mg.window_keys(spec, radius)
+    assert keys == sorted(set(keys))
+    try:
+        window = dual.tiling_window(spec, radius)
+    except SingularMultigrid:
+        return
+    assert list(window.keys()) == keys
+    assert [window.index(window.key(n)) for n in range(len(window))] == list(range(len(keys)))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: a chord's level range snaps with an "
+                   "absolute _SNAP, so it can miss the crossing of nearly parallel grids")
+def test_window_lists_a_crossing_of_nearly_parallel_grids():
+    """Grids 0 and 2 lie about 1e-9 rad apart, and their crossing
+    (0, -1, 2, -1) lies 0.5 from the origin: radius 5 lists it, and radius
+    1 should too."""
+    spec = MultigridSpec((1, 0.9998476951563913+0.01745240643728351j,
+                          1+1.0402973008122024e-09j), (0.5,) * 3)
+    assert (0, -1, 2, -1) in mg.window_keys(spec, 5.0)
+    assert (0, -1, 2, -1) in mg.window_keys(spec, 1.0)
 
 
 def test_nearest_crossing_is_nearest(pentagrid):
