@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from operator import mul
 from typing import Iterable, Literal, Sequence
 
 from . import geom
-from .dual import corner_tables, linear_dual
+from .dual import corner_keys, linear_dual
 from .errors import GridNotRepresented, ResourceLimit, ValidationError
 from .geom import hull_chain, hull_chain_xy, perp
 from .graph import CoronaSequence, Patch, corona_layers
@@ -117,18 +118,24 @@ def convergence_table(
     The hull is grown frontier by frontier, hull(P_n) = hull(hull(P_{n-1})
     + F_n), so each crossing's points are taken once, from its key: no
     Crossing is built.  The points are the crossings on the multigrid side
-    and the distinct dual-tile corners on the tiling side.  The chain is
-    kept as (x, y) pairs; row n scales its vertices by 1/n and measures
-    them with hausdorff_between.  Without
-    `sequence`, the layers are streamed from corona_layers to max(ns) and
-    dropped once read, so the table holds the frontier, not the ball; a
-    refusal of layer k's points then comes before any growth refusal or
-    crossing cap beyond layer k.  Pass `sequence` to read an existing run's
-    layers instead.
+    and every distinct corner_keys vertex of each frontier on the tiling
+    side (hull rows depend on the redundant points fed).  A vertex belongs
+    to two or three consecutive frontiers, so its position, once computed,
+    is taken from the last frontier's map by key.  The chain is kept as
+    (x, y) pairs; row n scales its vertices by 1/n and measures them with
+    hausdorff_between.  A side other than 'multigrid' or 'tiling' raises
+    ValidationError before any growth.  Without `sequence`, the
+    layers are streamed from corona_layers to max(ns) and dropped once
+    read, so the table holds the frontier, not the ball; a refusal of
+    layer k's points then comes before any growth refusal or crossing cap
+    beyond layer k.  Pass `sequence` to read an existing run's layers
+    instead.
     """
     ns = sorted(ns)
     if not ns or ns[0] < 1:
         raise ValidationError("ns must be nonempty with n >= 1")
+    if side not in ("multigrid", "tiling"):
+        raise ValidationError(f"side must be 'multigrid' or 'tiling', got {side!r}")
     target = (grid_char_polygon(spec) if side == "multigrid" else
               tiling_char_polygon(spec)).vertices
     if sequence is None:
@@ -137,11 +144,24 @@ def convergence_table(
         raise IndexError(f"corona index {ns[-1]} not in [0, {sequence.n_max}]")
     else:
         layers = map(sequence.layer, range(ns[-1] + 1))
+    normals = spec.normals
     rows = []
     chain: list[tuple[float, float]] = []
+    # the last frontier's corners: vertex key -> position as an (x, y) pair
+    positions: dict[tuple[int, ...], tuple[float, float]] = {}
     for n, layer in enumerate(layers):
-        points = (crossing_pairs(spec, layer) if side == "multigrid" else
-                  ((p.real, p.imag) for p in corner_tables(spec, layer)[2]))
+        if side == "multigrid":
+            points: Iterable[tuple[float, float]] = crossing_pairs(spec, layer)
+        else:
+            current = dict.fromkeys(corner_keys(spec, layer))
+            for vertex in current:
+                xy = positions.get(vertex)
+                if xy is None:
+                    z = sum(map(mul, vertex, normals))
+                    xy = z.real, z.imag
+                current[vertex] = xy
+            positions = current
+            points = current.values()
         chain = hull_chain_xy(itertools.chain(chain, points))
         for _ in range(ns.count(n)):
             h = geom.hausdorff_between([(1.0 / n) * complex(x, y) for x, y in chain], target)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .errors import OnGridLine, SingularMultigrid
 from .geom import EPS_GEOM, scalar_product
-from .multigrid import EPS_SINGULAR, Crossing, Key, MultigridSpec, _point_xy, window_keys
+from .multigrid import EPS_SINGULAR, Crossing, Key, MultigridSpec, window_keys
 
 
 def vertex_position(spec: MultigridSpec, key: tuple[int, ...]) -> complex:
@@ -55,53 +55,57 @@ def linear_dual(spec: MultigridSpec, z: complex) -> complex:
     return sum(scalar_product(z, n) * n for n in spec.normals)
 
 
+def corner_keys(spec: MultigridSpec, keys: Iterable[Key]) -> Iterator[tuple[int, ...]]:
+    """Per crossing key, the four vertex keys of its dual rhombus, in boundary
+    order (base, base + e_i, base + e_i + e_j, base + e_j): the cells around
+    a crossing share every level but those of its own two lines, and the
+    base cell lies on the negative side of both.  The point is solved from
+    the spec's _pairs entry, as crossing_point solves it, and each other
+    grid's level there from grid i's _rows entry.  A level u within
+    EPS_SINGULAR of an integer raises SingularMultigrid, at the first such
+    crossing and grid.  With f = floor(u), u - f or f + 1 - u is the float
+    abs(u - round(u)) takes, and the other is at least 0.5, so the test
+    decides as that form does; the vertex's level is f + 1 = ceil(u).
+    """
+    rows, _, pairs = spec._kernel_tables()
+    floor = math.floor
+    d = spec.d
+    for key in keys:
+        i, ki, j, kj = key
+        det, (ax, ay, ga), (bx, by, gb), _, _, _ = pairs[i, j]
+        ra, rb = ga + ki, gb + kj
+        x = (ra * by - rb * ay) / det
+        y = (ax * rb - bx * ra) / det
+        base = [ki] * d
+        for nx, ny, g, _, _, l in rows[i]:
+            if l == j:
+                base[l] = kj
+                continue
+            u = x * nx + y * ny - g
+            f = floor(u)
+            if u - f <= EPS_SINGULAR or f + 1 - u <= EPS_SINGULAR:
+                raise SingularMultigrid(f"a grid-{l} line passes through crossing {key}")
+            base[l] = f + 1
+        yield tuple(base)
+        base[i] += 1
+        yield tuple(base)
+        base[j] += 1
+        yield tuple(base)
+        base[i] -= 1
+        yield tuple(base)
+
+
 def corner_tables(
     spec: MultigridSpec, keys: Iterable[Key],
 ) -> tuple[list[int], list[tuple[int, ...]], list[complex]]:
     """The corners of the rhombi dual to the crossings with these keys, as
-    tables: ``corners[4n:4n + 4]`` index tile n's corners, in boundary order
-    (base, base + e_i, base + e_i + e_j, base + e_j), into the distinct
-    vertex keys, in order of first use, and their positions.
-
-    The four cells around a crossing share all grid levels except on the
-    crossing's own two lines, where they straddle the integer exactly at the
-    line index; the base cell is the one on the negative side of both lines.
-    Each crossing's point is solved once, as crossing_point solves it, and
-    each other grid's level there is read from the spec's per-grid level
-    table, as MultigridSpec.level reads it.  A vertex's position is
-    vertex_position of its key, computed once however many tiles share it.
-    A third line passing within EPS_SINGULAR of a crossing makes the cell
-    assignment unreliable and raises SingularMultigrid, at the first such
-    crossing in the order given.
+    tables: ``corners[4n:4n + 4]`` index tile n's corner_keys, into the
+    distinct vertex keys, in order of first use, and their positions, each
+    vertex_position computed once however many tiles share it.
     """
-    levels, crosses = spec._levels, spec._crosses
-    ceil = math.ceil
     pool: dict[tuple[int, ...], int] = {}   # vertex key -> its index
     index = pool.setdefault
-    corners: list[int] = []
-    add = corners.append
-    for key in keys:
-        i, ki, j, kj = key
-        x, y = _point_xy(levels[i], ki, levels[j], kj, crosses[i][j])
-        base: list[int] = []
-        push = base.append
-        for l, (re, im, offset) in enumerate(levels):
-            if l == i:
-                push(ki)
-            elif l == j:
-                push(kj)
-            else:
-                u = x * re + y * im - offset
-                if abs(u - round(u)) <= EPS_SINGULAR:
-                    raise SingularMultigrid(f"a grid-{l} line passes through crossing {key}")
-                push(ceil(u))
-        add(index(tuple(base), len(pool)))
-        base[i] += 1
-        add(index(tuple(base), len(pool)))
-        base[j] += 1
-        add(index(tuple(base), len(pool)))
-        base[i] -= 1
-        add(index(tuple(base), len(pool)))
+    corners = [index(vertex, len(pool)) for vertex in corner_keys(spec, keys)]
     vertex_keys = list(pool)
     normals = spec.normals
     return corners, vertex_keys, [sum(map(mul, key, normals)) for key in vertex_keys]

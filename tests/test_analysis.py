@@ -9,8 +9,8 @@ from coronagrid import analysis, certify, geom, graph, multigrid as mg
 from coronagrid.cli import run
 from coronagrid.dual import corner_tables, linear_dual
 from coronagrid.errors import (CoronagridError, GridNotRepresented, NotACrossing,
-                               ResourceLimit, SingularMultigrid)
-from coronagrid.geom import cross, perp
+                               ResourceLimit, SingularMultigrid, ValidationError)
+from coronagrid.geom import cross, hull_chain_xy, perp
 from coronagrid.multigrid import MultigridSpec
 
 
@@ -211,18 +211,56 @@ def test_streamed_convergence_table_refuses_at_the_cap(pentagrid, monkeypatch, s
 
 
 def test_streamed_convergence_table_holds_the_frontier(pentagrid, traced_memory):
-    """Without a sequence the table to n=120 peaks well below the 32 B per
-    crossing a packed corona_sequence to n=120 keeps: each layer is dropped
-    once its points are in the hull.  (The multigrid side at n=120 keeps
-    the traced run to a few seconds; the layers stream the same way on both
-    sides.)"""
+    """Without a sequence the table to n holds the frontier, not the ball:
+    each layer is dropped once its points are in the hull.  The multigrid
+    side to n=120 peaks under 3/4 of the 32 B per crossing a packed
+    corona_sequence to n=120 keeps.  The tiling side also holds the last
+    two frontiers' maps from vertex key to position, about 200 B per
+    vertex, so to n=80 it peaks at 0.8 to 1.3 times the packed ball,
+    depending on the interpreter's free lists; a map that kept every vertex
+    of the ball would peak at about nine times it.  (These n keep each
+    traced run to a few seconds.)"""
     patch = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
-    seq = graph.corona_sequence(pentagrid, patch, 120)
-    held = sum(map(sys.getsizeof, seq.packed))
-    del seq
-    _, _, peak = traced_memory(analysis.convergence_table, pentagrid, patch, [10, 120],
-                               "multigrid")
-    assert peak < held * 3 / 4
+    for side, n, share in (("multigrid", 120, 3 / 4), ("tiling", 80, 2)):
+        seq = graph.corona_sequence(pentagrid, patch, n)
+        held = sum(map(sys.getsizeof, seq.packed))
+        del seq
+        _, _, peak = traced_memory(analysis.convergence_table, pentagrid, patch, [10, n], side)
+        assert peak < held * share, side
+
+
+def test_convergence_table_refuses_an_unknown_side(pentagrid, monkeypatch):
+    """A side other than 'multigrid' or 'tiling' is refused before any
+    growth."""
+    def no_growth(spec, layer):
+        raise AssertionError("the table grew a layer")
+
+    monkeypatch.setattr(graph, "frontier_neighbor_keys", no_growth)
+    with pytest.raises(ValidationError,
+                       match="side must be 'multigrid' or 'tiling', got 'tilling'"):
+        analysis.convergence_table(pentagrid, nearest_patch(pentagrid), [4], "tilling")
+
+
+def test_tiling_rows_hull_every_corner_of_every_frontier():
+    """The tiling side feeds the hull chain every distinct corner of every
+    frontier, also the corners whose positions it takes from the previous
+    frontier: its rows equal, h bit for bit, those of a loop that hulls
+    the chain with all of corner_tables' positions, layer by layer.  Hull
+    rows depend on which redundant points reach the chain: on this spec a
+    feed of only the corners no earlier frontier had gives 21 hull
+    vertices at n = 73, not 22."""
+    spec = certify.random_offsets_pentagrid(12)
+    patch = nearest_patch(spec)
+    target = analysis.tiling_char_polygon(spec).vertices
+    want = []
+    chain = []
+    for n, layer in enumerate(graph.corona_layers(spec, patch, 80)):
+        chain = hull_chain_xy(chain + [(p.real, p.imag) for p in corner_tables(spec, layer)[2]])
+        if n:
+            h = geom.hausdorff_between([(1.0 / n) * complex(x, y) for x, y in chain], target)
+            want.append((n, h.hex(), len(chain)))
+    rows = analysis.convergence_table(spec, patch, range(1, 81), "tiling")
+    assert [(r.n, r.h.hex(), r.hull_vertices) for r in rows] == want
 
 
 # endpoints -------------------------------------------------------------------

@@ -552,3 +552,17 @@ def test_every_walk_of_the_crossing_graph_reads_corona_layers():
                         and where not in allowed[name]):
                     offending.append(f"{where} reads {name}; read graph.corona_layers instead")
     assert offending == []
+
+
+def test_only_corner_keys_decides_tile_vertices():
+    """In library code, only dual.corner_keys raises the "a grid-{l} line
+    passes through crossing" refusal, so the third-line test that turns a
+    crossing into its tile's vertex keys is made in one place."""
+    raisers = []
+    for path in sorted(Path(coronagrid.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Raise) and node.exc is not None
+                        and "line passes through crossing" in ast.unparse(node.exc)):
+                    raisers.append(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert raisers == ["dual.corner_keys"]

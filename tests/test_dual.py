@@ -350,16 +350,44 @@ def test_table_window_matches_per_crossing_reference(spec_radius):
                             reference_svg(spec, radius, want)) is None
 
 
-@pytest.mark.parametrize("spec", [
-    MultigridSpec.dfold(5, 0.0),                         # five lines through the origin
-    MultigridSpec.from_angles([0, 90, 10], [0, 0, 5e-8]),  # a third line 5e-8 off a crossing
-])
-def test_table_window_refuses_as_per_crossing_reference(spec):
-    with pytest.raises(SingularMultigrid) as want:
-        reference_tiles(spec, 3.0)
-    with pytest.raises(SingularMultigrid) as got:
-        dual.tiling_window(spec, 3.0)
-    assert str(got.value) == str(want.value)
+# A third line at offset g passes at level -g through the crossing of lines
+# 0 and 1 at the origin: within EPS_SINGULAR of the integer above it for
+# g near 1e-7, and of the integer below it for g near 1 - 1e-7, where
+# fold_offset maps -1e-7 (whose own neighbours fold to the same offset).
+_FOLDED = mg.fold_offset(-1e-7)
+_REFUSAL_CASES = [
+    (MultigridSpec.dfold(5, 0.0), True),                   # five lines through the origin
+    *((MultigridSpec.from_angles([0, 90, 10], [0, 0, g]), refused) for g, refused in [
+        (5e-8, True),
+        (math.nextafter(1e-7, 0), True),
+        (1e-7, True),
+        (math.nextafter(1e-7, 1), False),
+        (-1e-7, True),
+        (math.nextafter(_FOLDED, 0), False),
+        (math.nextafter(_FOLDED, 1), True),
+    ]),
+]
+
+
+@pytest.mark.parametrize(("spec", "refused"), _REFUSAL_CASES,
+                         ids=[f"spec{k}" for k in range(len(_REFUSAL_CASES))])
+def test_table_window_refuses_as_per_crossing_reference(spec, refused):
+    """Across EPS_SINGULAR, tiling_window refuses exactly where the
+    per-crossing reference refuses, with its message, and otherwise gives
+    its corner keys."""
+    try:
+        want = reference_tiles(spec, 3.0)
+    except SingularMultigrid as exc:
+        assert refused
+        with pytest.raises(SingularMultigrid) as got:
+            dual.tiling_window(spec, 3.0)
+        assert str(got.value) == str(exc)
+        return
+    assert not refused
+    window = dual.tiling_window(spec, 3.0)
+    vertex_keys = list(window.vertex_keys())
+    assert [tuple(vertex_keys[m] for m in window.corners[4 * n:4 * n + 4])
+            for n in range(len(window))] == [keys for _, keys, _ in want]
 
 
 def test_negative_window_radius_is_refused(pentagrid):
