@@ -138,8 +138,9 @@ def _seed_patch(spec: MultigridSpec, args) -> graph.Patch:
 
 def _ns(args) -> list[int]:
     ns = sorted(_numbers(args.n, int, "--n"))
-    if ns[0] < 0:
-        raise ValidationError(f"--n takes integers >= 0, got {args.n!r}")
+    least = 1 if args.command == "converge" else 0   # a convergence row divides by n
+    if ns[0] < least:
+        raise ValidationError(f"--n takes integers >= {least}, got {args.n!r}")
     return ns
 
 

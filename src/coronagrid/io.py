@@ -308,14 +308,10 @@ def tiling_scene(window: TilingWindow) -> SceneSpec:
     return SceneSpec(extent, (TilesLayer(window.positions, window.corners, tile_fills),))
 
 
-def corona_scene(
-    spec: MultigridSpec,
-    seq: CoronaSequence,
-    overlay: CharPolygon | None = None,
-) -> SceneSpec:
+def corona_scene(spec: MultigridSpec, seq: CoronaSequence, overlay: CharPolygon) -> SceneSpec:
     """Corona tiles greyscaled by frontier index, each frontier in
-    crossing-key order, opt. characteristic overlay scaled by the corona
-    count.  The corners come from one corner_tables pass over all layers."""
+    crossing-key order, under the characteristic overlay scaled by the
+    corona count.  One corner_tables pass over all layers gives the corners."""
     palette = greyscale_palette(seq.n_max + 1)
     keys: list[Key] = []
     fills: list[str] = []
@@ -324,11 +320,9 @@ def corona_scene(
         keys += layer
         fills += [palette[n]] * len(layer)
     corners, _, positions = corner_tables(spec, keys)
-    layers: list[Layer] = [TilesLayer(positions, corners, fills)]
     extent = max([1.0, *map(abs, positions)])
-    if overlay is not None:
-        layers.append(PolygonLayer(tuple(overlay.scaled_vertices(seq.n_max))))
-    return SceneSpec(extent * 1.05, tuple(layers))
+    outline = PolygonLayer(tuple(overlay.scaled_vertices(seq.n_max)))
+    return SceneSpec(extent * 1.05, (TilesLayer(positions, corners, fills), outline))
 
 
 def charpoly_scene(chi: CharPolygon, chi_dual: CharPolygon) -> SceneSpec:

@@ -7,8 +7,10 @@ losing one grain per neighbor.  The wave of first topplings then sweeps
 outward exactly one graph-distance layer per round, which is what makes it
 an independent re-derivation of the corona sequence.
 
-Degrees are window degrees (in-window neighbors).  Certified runs never let
-the avalanche within graph distance 2 of the window boundary (enforced by
+Neighbors are tiles that share an edge, read from the window's exact
+vertex indices (the crossing graph's adjacency, by the multigrid duality),
+and degrees are window degrees.  Certified runs never let the avalanche
+within graph distance 2 of the window boundary (enforced by
 BoundaryContamination), so only degree-4 tiles ever topple and grain count
 is exactly conserved.
 
@@ -34,31 +36,28 @@ from .multigrid import Crossing, Key
 
 
 def window_adjacency(window: TilingWindow) -> list[tuple[int, ...]]:
-    """In-window tile adjacency: two tiles share an edge iff their crossings
-    are consecutive on a common line.
+    """In-window tile adjacency: tiles that share an edge, which by the
+    multigrid duality are crossings consecutive on a common line.
 
-    Each crossing's parameter on both of its lines comes from its key in
-    closed form, as in neighbor_keys.  Each window line's crossings are
-    sorted by parameter once, and consecutive ones are neighbors.  Entry n
-    holds tile n's neighbors as tile indices, in neighbor_keys order: line a
-    up, line a down, line b up, line b down.
+    Edge k of tile n joins corners[4n + k] and corners[4n + (k + 1) % 4],
+    keyed by its vertex indices unordered (tiles of different grid pairs
+    walk their rhombi in opposite senses).  The second tile to claim an open
+    edge is linked to the first and closes it; an edge claimed once lies on
+    the window rim.  Entry n holds tile n's neighbors as tile indices, in
+    its edge order (corners 0-1, 1-2, 2-3, 3-0).
     """
-    spec = window.spec
-    offsets, dots, crosses = spec.offsets, spec._dots, spec._crosses
-    # entry (t, slot): neighbor slots slot (up) and slot + 1 (down) of tile slot // 4
-    on_line: dict[tuple[int, int], list[tuple[float, int]]] = {}
-    for n, (i, ki, j, kj) in enumerate(window.keys()):
-        ri, rj = offsets[i] + ki, offsets[j] + kj
-        ta = (kj - (ri * dots[i][j] - offsets[j])) / crosses[i][j]
-        tb = (ki - (rj * dots[j][i] - offsets[i])) / crosses[j][i]
-        on_line.setdefault((i, ki), []).append((ta, 4 * n))
-        on_line.setdefault((j, kj), []).append((tb, 4 * n + 2))
-    slots: list[int | None] = [None] * (4 * len(window))
-    for entries in on_line.values():
-        entries.sort()
-        for (_, lo), (_, hi) in zip(entries, entries[1:]):
-            slots[lo] = hi // 4
-            slots[hi + 1] = lo // 4
+    corners = window.corners
+    span = len(window.positions)
+    claimed: dict[int, int] = {}   # open edge key -> its first claimant's slot 4n + k
+    slots: list[int | None] = [None] * len(corners)
+    for q, a in enumerate(corners):
+        b = corners[q - 3 if q % 4 == 3 else q + 1]
+        edge = a * span + b if a < b else b * span + a
+        other = claimed.pop(edge, None)
+        if other is None:
+            claimed[edge] = q
+        else:
+            slots[q], slots[other] = other // 4, q // 4
     return [tuple(m for m in slots[q:q + 4] if m is not None)
             for q in range(0, len(slots), 4)]
 
@@ -91,8 +90,9 @@ class SandpileConfig:
 
 
 def max_stable(window: TilingWindow) -> SandpileConfig:
-    """Every tile at (degree - 1) grains: 3 in the interior, fewer on the
-    window boundary.  One more grain anywhere starts an avalanche."""
+    """Every tile at (degree - 1) grains, a degree being its shared window
+    edges: 3 in the interior, fewer on the rim.  One more grain starts an
+    avalanche."""
     neighbors = window_adjacency(window)
     return SandpileConfig(window, neighbors, [max(len(nbs) - 1, 0) for nbs in neighbors], {})
 

@@ -55,10 +55,12 @@ def count_constructions(monkeypatch):
 def traced_memory():
     """Call it with a function and its arguments: it runs the call under
     tracemalloc and returns (result, bytes held, peak bytes), both counted
-    from the start of the call.  The held bytes are read after a full
-    collection, which also empties the interpreter's free lists, so they
-    count what the result keeps alive."""
+    from the start of the call.  A full collection, which also empties the
+    interpreter's free lists, runs before the trace starts, so the peak
+    does not depend on what the process ran before, and again before the
+    held bytes are read, so they count what the result keeps alive."""
     def measure(fn, *args, **kwargs):
+        gc.collect()
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()

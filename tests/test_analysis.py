@@ -213,13 +213,14 @@ def test_streamed_convergence_table_refuses_at_the_cap(pentagrid, monkeypatch, s
 def test_streamed_convergence_table_holds_the_frontier(pentagrid, traced_memory):
     """Without a sequence the table to n holds the frontier, not the ball:
     each layer is dropped once its points are in the hull.  The multigrid
-    side to n=120 peaks under 3/4 of the 32 B per crossing a packed
-    corona_sequence to n=120 keeps.  The tiling side also holds the last
-    two frontiers' maps from vertex key to position, about 200 B per
-    vertex, so to n=80 it peaks at 0.8 to 1.3 times the packed ball,
-    depending on the interpreter's free lists; a map that kept every vertex
-    of the ball would peak at about nine times it.  (These n keep each
-    traced run to a few seconds.)"""
+    side to n=120 peaks at about 0.58 of the 32 B per crossing a packed
+    corona_sequence to n=120 keeps, under the bound of 3/4.  The tiling
+    side also holds the last two frontiers' maps from vertex key to
+    position, about 200 B per vertex, so to n=80 it peaks at about 1.26
+    times the packed ball; a map that kept every vertex of the ball would
+    peak at about nine times it.  traced_memory collects first, so these
+    peaks do not depend on what the process ran before.  (These n keep
+    each traced run to a few seconds.)"""
     patch = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
     for side, n, share in (("multigrid", 120, 3 / 4), ("tiling", 80, 2)):
         seq = graph.corona_sequence(pentagrid, patch, n)

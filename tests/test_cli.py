@@ -124,6 +124,17 @@ def test_validation_exits_2(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+@pytest.mark.parametrize("ns", ["0", "0,10", "-1"])
+def test_converge_refuses_n_below_1_naming_the_flag(tmp_path, capsys, ns):
+    """A convergence row divides by n, so converge takes --n >= 1; corona
+    and endpoints take n = 0.  The message names the flag."""
+    assert run(["converge", "--dfold", "5", "--n", ns, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --n takes integers >= 1, got {ns!r}\n"
+    for command in ("corona", "endpoints"):
+        assert run([command, "--dfold", "5", "--n", "0", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     """An --out that names a file, or an artifact name taken by a directory,
     exits 2 with one error line and no traceback."""
@@ -566,3 +577,21 @@ def test_only_corner_keys_decides_tile_vertices():
                         and "line passes through crossing" in ast.unparse(node.exc)):
                     raisers.append(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert raisers == ["dual.corner_keys"]
+
+
+def test_only_corner_keys_reads_the_spec_tables():
+    """Outside multigrid.py, library code reads MultigridSpec's private
+    tables only in dual.corner_keys, so every other step from keys to
+    geometry or adjacency goes through multigrid's public functions or the
+    window's exact tables."""
+    private = {"_dots", "_crosses", "_levels", "_rows", "_signs", "_pairs", "_kernel_tables"}
+    readers = []
+    for path in sorted(Path(coronagrid.__file__).parent.glob("*.py")):
+        if path.name == "multigrid.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            readers += [f"{path.stem}.{getattr(top, 'name', top.lineno)} reads {node.attr}"
+                        for node in ast.walk(top)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                        and node.attr in private]
+    assert sorted(set(readers)) == ["dual.corner_keys reads _kernel_tables"]

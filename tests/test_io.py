@@ -295,7 +295,7 @@ def first_difference(got: str, want: str) -> str | None:
 @st.composite
 def scenes(draw):
     """tiling_scene of a window of radius 0..8, or corona_scene of a run to
-    n <= 6 with or without the overlay, on the pentagrid or on
+    n <= 6 with its overlay, on the pentagrid or on
     random_multigrid(d, s) for d = 3..9."""
     d = draw(st.sampled_from([0, *range(3, 10)]))
     spec = MultigridSpec.dfold(5, 0.5) if d == 0 else certify.random_multigrid(
@@ -305,8 +305,7 @@ def scenes(draw):
             return cio.tiling_scene(tiling_window(spec, draw(st.floats(0.0, 8.0))))
         seed = graph.Patch(frozenset([mg.nearest_crossing(spec)]))
         seq = graph.corona_sequence(spec, seed, draw(st.integers(0, 6)))
-        overlay = analysis.tiling_char_polygon(spec) if draw(st.booleans()) else None
-        return cio.corona_scene(spec, seq, overlay)
+        return cio.corona_scene(spec, seq, analysis.tiling_char_polygon(spec))
     except SingularMultigrid:
         assume(False)
 
@@ -390,10 +389,11 @@ def test_gen_and_corona_scene_build_no_objects(pentagrid, tmp_path, count_constr
     Crossing."""
     seed = graph.Patch(frozenset([mg.nearest_crossing(pentagrid)]))
     seq = graph.corona_sequence(pentagrid, seed, 6)
+    overlay = analysis.tiling_char_polygon(pentagrid)
     counts = count_constructions()
     assert run(["gen", "--dfold", "5", "--radius", "6", "--out", str(tmp_path)]) == 0
     assert counts == {}
-    cio.render_svg(cio.corona_scene(pentagrid, seq))
+    cio.render_svg(cio.corona_scene(pentagrid, seq, overlay))
     assert counts == {}
 
 

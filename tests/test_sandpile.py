@@ -33,31 +33,55 @@ def test_max_stable_degrees(square_window):
 
 
 def neighbor_keys_adjacency(window):
-    """Reference: each tile's neighbor_keys that are window tiles, in
-    neighbor_keys order, as tile indices."""
+    """Reference: each tile's neighbor_keys that are window tiles, as a set
+    of tile indices.  It walks the crossings' lines, so it is independent of
+    the tile edges that window_adjacency pairs."""
     index = {key: n for n, key in enumerate(window.keys())}
-    return [tuple(index[k] for k in mg.neighbor_keys(window.spec, key) if k in index)
+    return [{index[k] for k in mg.neighbor_keys(window.spec, key) if k in index}
             for key in window.keys()]
 
 
+def assert_same_neighbors(adjacency, want):
+    """Per tile, adjacency lists the neighbors in want, each once, and m is
+    a neighbor of n exactly when n is a neighbor of m."""
+    assert [set(nbs) for nbs in adjacency] == want
+    assert all(len(set(nbs)) == len(nbs) for nbs in adjacency)
+    assert all(n in adjacency[m] for n, nbs in enumerate(adjacency) for m in nbs)
+
+
 def test_window_adjacency_is_graph_adjacency_on_window_tiles(penta_window):
-    """In-window neighbors in neighbor_keys order, as tile indices."""
-    assert sandpile.window_adjacency(penta_window) == neighbor_keys_adjacency(penta_window)
+    """Tiles that share an edge are the crossings that neighbor_keys links:
+    the multigrid duality, on the radius-12 pentagrid window."""
+    assert_same_neighbors(sandpile.window_adjacency(penta_window),
+                          neighbor_keys_adjacency(penta_window))
+
+
+def test_window_adjacency_lists_neighbors_in_edge_order(square_window):
+    """Entry n lists tile n's neighbors in its edge order (corners 0-1,
+    1-2, 2-3, 3-0), each edge's neighbor the other tile that has both its
+    corners."""
+    corners = square_window.corners
+    for n, nbs in enumerate(sandpile.window_adjacency(square_window)):
+        own = corners[4 * n:4 * n + 4]
+        edges = [{own[k], own[(k + 1) % 4]} for k in range(4)]
+        sharing = [[m for m in nbs if edge <= set(corners[4 * m:4 * m + 4])] for edge in edges]
+        assert [m for ms in sharing for m in ms] == list(nbs)
+        assert all(len(ms) <= 1 for ms in sharing)
 
 
 @given(d=st.integers(3, 7), seed=st.integers(1, 10_000),
        radius=st.sampled_from([2.0, 5.0, 9.0]))
 def test_window_adjacency_matches_neighbor_keys(d, seed, radius):
-    """Sorting each line's crossings gives the neighbor_keys adjacency on
-    random windows.  Windows that tiling_window refuses are skipped, and so
-    are those that only neighbor_keys refuses, for a near-coincidence one
-    step outside the window."""
+    """Pairing shared tile edges gives the neighbor_keys adjacency on random
+    windows.  Windows that tiling_window refuses are skipped, and so are
+    those that only neighbor_keys refuses, for a near-coincidence one step
+    outside the window."""
     try:
         window = tiling_window(random_multigrid(d, seed), radius)
         want = neighbor_keys_adjacency(window)
     except SingularMultigrid:
         assume(False)
-    assert sandpile.window_adjacency(window) == want
+    assert_same_neighbors(sandpile.window_adjacency(window), want)
 
 
 def test_round_one_only_seed_topples(square, square_window):
@@ -84,6 +108,27 @@ def test_pentagrid_equivalence(pentagrid, penta_window):
     seq = graph.corona_sequence(pentagrid, graph.Patch(frozenset([at])), 5)
     for n in range(1, 7):
         assert final.toppled_by(n) == seq.corona(n - 1)
+
+
+@given(d=st.integers(3, 9), seed=st.integers(1, 10_000),
+       radius=st.sampled_from([8.0, 9.0]), rounds=st.integers(1, 6))
+def test_random_multigrid_equivalence(d, seed, radius, rounds):
+    """On random multigrids, as on the pentagrid, the tiles that topple by
+    round n after one grain at the nearest crossing are the corona
+    P_{n - 1}.  Windows and growths that refuse, avalanches that reach the
+    rim's halo and seeds on the rim are skipped."""
+    spec = random_multigrid(d, seed)
+    try:
+        window = tiling_window(spec, radius)
+        at = mg.nearest_crossing(spec)
+        config = sandpile.max_stable(window)
+        assume(at.key in set(window.keys()) and len(config.neighbors[window.index(at.key)]) == 4)
+        final = sandpile.add_grain_and_topple(config, at, rounds)
+        seq = graph.corona_sequence(spec, graph.Patch(frozenset([at])), rounds - 1)
+    except (SingularMultigrid, BoundaryContamination):
+        assume(False)
+    comparison = list(sandpile.corona_comparison(final, seq, rounds))
+    assert [match for *_, match in comparison] == [True] * rounds, comparison
 
 
 def test_grain_conservation_and_monotone_toppling(pentagrid, penta_window):
