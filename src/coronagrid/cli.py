@@ -220,8 +220,8 @@ def _dispatch(args) -> tuple[dict[str, str], int]:
                 "tiling.svg": io.render_svg(io.tiling_scene(window))}, 0
 
     if args.command == "corona":
-        patch = _seed_patch(spec, args)
-        seq = graph.corona_sequence(spec, patch, _ns(args)[-1])
+        ns = _ns(args)
+        seq = graph.corona_sequence(spec, _seed_patch(spec, args), ns[-1])
         overlay = analysis.tiling_char_polygon(spec)
         return {"frontiers.csv": _csv(io.write_frontiers_csv, seq),
                 "corona.svg": io.render_svg(io.corona_scene(spec, seq, overlay))}, 0
@@ -233,13 +233,13 @@ def _dispatch(args) -> tuple[dict[str, str], int]:
                 "charpoly.svg": io.render_svg(io.charpoly_scene(chi, chi_dual))}, 0
 
     if args.command == "converge":
-        patch = _seed_patch(spec, args)
-        rows = analysis.convergence_table(spec, patch, _ns(args), args.side)
+        ns = _ns(args)
+        rows = analysis.convergence_table(spec, _seed_patch(spec, args), ns, args.side)
         return {"convergence.csv": _csv(io.write_convergence_csv, rows)}, 0
 
     if args.command == "endpoints":
-        patch = _seed_patch(spec, args)
-        rows = analysis.endpoints_diagnostic(spec, patch, _ns(args))
+        ns = _ns(args)
+        rows = analysis.endpoints_diagnostic(spec, _seed_patch(spec, args), ns)
         return {"endpoints.csv": _csv(io.write_endpoints_csv, rows)}, 0
 
     if args.command == "sandpile":

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from heapq import heapify, heapreplace
 from itertools import islice
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -541,25 +542,19 @@ def frontier_neighbor_keys(spec: MultigridSpec, layer: Iterable[Key]) -> set[Key
     return out
 
 
-# A walk along a line lists and sorts one stretch of it at a time, sized
-# by the line's crossing density to hold about _FIRST_CHUNK crossings at
-# first, then twice as many each time up to _CHUNK_CROSSINGS: a walk of a
-# few steps lists a few crossings, and a long one sorts 32 at a time.
-_FIRST_CHUNK = 4
-_CHUNK_CROSSINGS = 32
-
-
 def line_crossings(
     spec: MultigridSpec, line: LineId, t: float, direction: int,
 ) -> Iterator[tuple[float, int, int]]:
     """The crossings of `line` strictly beyond parameter t in direction +-1,
     nearest first, as ``(parameter, grid, level)``: a lazy, endless walk
     that takes the steps, and raises the SingularMultigrid, of a loop of
-    next_crossing_on_line calls from t.
+    next_crossing_on_line calls from t; far out, where consecutive
+    crossings round to one parameter, it refuses instead.
 
-    The crossings come from _levels_on_segment's closed form, sorted one
-    chunk at a time, so a step costs O(1) instead of line_steps' O(d).
-    Raises ValueError at once unless direction is +1 or -1.
+    Each other grid's levels come from _levels_on_segment's closed form and
+    are merged on a heap of one entry per grid, so a step costs O(log d)
+    instead of line_steps' O(d).  Raises ValueError at once unless
+    direction is +1 or -1.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -570,7 +565,10 @@ def _sorted_walk(
     spec: MultigridSpec, line: LineId, p: float, direction: int,
 ) -> Iterator[tuple[float, int, int]]:
     """line_crossings on positions p = direction * parameter, which grow
-    along the walk; _levels_on_segment gives each grid's levels there.
+    along the walk: a heap of ``(position, grid, level, base, s, level
+    step)``, one entry per other grid, seeded with the first level beyond p
+    that _levels_on_segment gives, and each popped entry replaced by its
+    grid's next level.  Entries order as (position, grid, level).
 
     Each step is the one line_steps takes from the last position p: both
     compute a crossing's position as (m - base) / s, and two rules cover
@@ -582,52 +580,38 @@ def _sorted_walk(
       nearest crossing, where a refusal can happen: with d = 2 there is
       none, and a nearly parallel grid's next level may lie far away.  A
       refusal names the parameter line_steps gives.
-    A chunk is listed once its predecessor no longer covers that window,
-    and merged with what is left of the predecessor: a level within _SNAP
-    of a chunk's end can lie beyond it.  Where the float spacing of the
-    position exceeds the longest chunk, the walk refuses.
+    A grid's levels lie 1 / |cross(i, l)| apart, about 1 or more, so the
+    heap holds every candidate for either rule.  Where a position's float
+    spacing reaches that, a grid's next level can round to the same
+    position, or a level not passed over to one at or before p: the walk
+    refuses there, so the positions it yields strictly increase.
     """
     i, k = line
-    grids = [l for l in range(spec.d) if l != i]
-    density = sum(abs(spec._crosses[i][l]) for l in grids)
-    chunk = _FIRST_CHUNK
+    heap = []
+    for l in range(spec.d):
+        if l != i:
+            ms, base, s = _levels_on_segment(spec, i, k, l, p, p, direction)
+            heap.append(((ms.start - base) / s, l, ms.start, base, s, ms.step))
+    heapify(heap)
     reach = 2 * EPS_SINGULAR
-    slopes: list[tuple[float, float]] = [(0.0, 0.0)] * spec.d   # per grid: base, s
-    todo: list[tuple[float, int, int]] = []   # sorted (position, grid, level)
-    at = 0
-    end = p   # every crossing up to position `end` is in todo, or passed
     while True:
-        while at == len(todo) or todo[at][0] + reach > end:
-            start, end = end, end + chunk / density
-            if end == start and chunk == _CHUNK_CROSSINGS:   # below the float spacing
-                raise SingularMultigrid(f"line {line} is too far out to walk past {direction * p}")
-            chunk = min(2 * chunk, _CHUNK_CROSSINGS)
-            todo = todo[at:]
-            at = 0
-            for l in grids:
-                ms, base, s = _levels_on_segment(spec, i, k, l, start, end, direction)
-                slopes[l] = base, s
-                todo += [((m - base) / s, l, m) for m in ms]
-            todo.sort()
-        q, l, m = todo[at]
-        at += 1
-        base, s = slopes[l]
+        q, l, m, base, s, step = heap[0]
+        after = (m + step - base) / s
+        heapreplace(heap, (after, l, m + step, base, s, step))
         u = base + p * s
-        if (m <= u + _SNAP) if s > 0 else (m >= u - _SNAP):
+        passed = (m <= u + _SNAP) if s > 0 else (m >= u - _SNAP)
+        if after == q or (not passed and q <= p):
+            raise SingularMultigrid(f"line {line} is too far out to walk past {direction * p}")
+        if passed:
             continue
-        if at < len(todo) and todo[at][0] <= q + reach:
-            for q2, l2, m2 in islice(todo, at, None):
-                if q2 > q + reach:
-                    break
-                base, s = slopes[l2]
+        if heap[0][0] <= q + reach:
+            for q2, _, m2, base, s, _ in heap:
                 u = base + p * s
-                if (m2 <= u + _SNAP) if s > 0 else (m2 >= u - _SNAP):
-                    continue
-                if (q2 - p) - (q - p) < EPS_SINGULAR:
+                if (q2 <= q + reach and (q2 - p) - (q - p) < EPS_SINGULAR
+                        and not ((m2 <= u + _SNAP) if s > 0 else (m2 >= u - _SNAP))):
                     # line_steps names the parameter of its nearest candidate; where
                     # two candidates tie in tm - t, that is the lower grid's, not q's
                     raise _coincide(line, line_steps(spec, i, k, direction * p)[direction < 0][2])
-                break
         p = q
         yield direction * q, l, m
 
@@ -812,32 +796,25 @@ def nearest_crossing(spec: MultigridSpec) -> Crossing:
     NotACrossing when the answer lies beyond 1e6.
     """
     levels, crosses, dots, offsets = spec._levels, spec._crosses, spec._dots, spec.offsets
-    best = bound = reach = math.inf
-    near: list[tuple[float, Key]] = []   # (x^2 + y^2, key) within rounding of the best
+    best: tuple = (math.inf,)   # (abs(point), key) of the nearest candidate so far
+    reach = math.inf
     for i in range(spec.d):
         for j in range(i + 1, spec.d):
             det, g_i, g_j = crosses[i][j], offsets[i], offsets[j]
             for ki, kj in _pair_block(dots[i][j], g_i, g_j):
                 if abs(g_i + ki) > reach or abs(g_j + kj) > reach:
                     continue
-                x, y = _point_xy(levels[i], ki, levels[j], kj, det)
-                square = x * x + y * y
-                if square <= bound:
-                    if square < best:
-                        # squares below 1e-300 lose precision or underflow
-                        best, bound = square, square * (1 + 1e-12) + 1e-300
-                        # |point| >= |g_i + ki| / |normal_i|, normals are unit
-                        # to EPS_GEOM, and the solve's error is below 1e-6 of
-                        # |point| while |cross(i, j)| > EPS_GEOM
-                        reach = math.sqrt(bound) * (1 + 1e-6)
-                        near = [c for c in near if c[0] <= bound]
-                    near.append((square, (i, ki, j, kj)))
-    i, ki, j, kj = min((key for _, key in near),
-                       key=lambda key: (abs(crossing_point(spec, key[:2], key[2:])), key))
-    found = make_crossing(spec, LineId(i, ki), LineId(j, kj))
-    if abs(found.point) > 1e6:
+                rank = abs(complex(*_point_xy(levels[i], ki, levels[j], kj, det))), (i, ki, j, kj)
+                if rank < best:
+                    best = rank
+                    # |point| >= |g_i + ki| / |normal_i|, normals are unit to
+                    # EPS_GEOM, and the solve's error is below 1e-6 of |point|
+                    # while |cross(i, j)| > EPS_GEOM
+                    reach = best[0] * (1 + 1e-6)
+    distance, (i, ki, j, kj) = best
+    if distance > 1e6:
         raise NotACrossing("no crossing within 1e6 of the origin")
-    return found
+    return make_crossing(spec, LineId(i, ki), LineId(j, kj))
 
 
 def _pair_block(c: float, g_i: float, g_j: float) -> list[tuple[int, int]]:

@@ -135,6 +135,21 @@ def test_converge_refuses_n_below_1_naming_the_flag(tmp_path, capsys, ns):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, ns, least", [
+    ("corona", "-1", 0), ("converge", "0", 1), ("endpoints", "-1", 0)])
+def test_bad_n_is_refused_before_the_ball_grows(tmp_path, capsys, monkeypatch,
+                                                command, ns, least):
+    """--n is read before the --ball patch is grown, so a bad --n exits 2
+    at once, however large the ball."""
+    def no_growth(*args):
+        raise AssertionError("the ball grew before --n was read")
+
+    monkeypatch.setattr(graph, "corona_layers", no_growth)
+    argv = [command, "--dfold", "5", "--ball", "150", "--n", ns, "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: --n takes integers >= {least}, got {ns!r}\n"
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     """An --out that names a file, or an artifact name taken by a directory,
     exits 2 with one error line and no traceback."""
@@ -520,11 +535,23 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def defined_names(top: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a def or class, or the
+    names an assignment binds, such as constants and type aliases."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    targets = (top.targets if isinstance(top, ast.Assign)
+               else [top.target] if isinstance(top, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
 def test_every_top_level_function_and_class_has_a_caller():
-    """Every top-level def and class of a coronagrid module (bar __init__.py)
-    is read by library code outside its own body, or named by the
-    benchmark in perfbench/, which looks names up at run time.  This is the
-    check for functions that only the tests call."""
+    """Every top-level def, class and assigned name (a constant or a type
+    alias) of a coronagrid module (bar __init__.py) is read by library code
+    outside its own statement, or named by the benchmark in perfbench/,
+    which looks names up at run time.  This is the check for functions
+    and constants that only the tests use."""
     package = Path(coronagrid.__file__).parent
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
@@ -537,12 +564,11 @@ def test_every_top_level_function_and_class_has_a_caller():
     uncalled = []
     for module, tree in trees.items():
         for n, top in enumerate(tree.body):
-            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                    and not any(top.name in names for at, names in read.items()
-                                if at != (module, n))
-                    and not re.search(rf"\b{top.name}\b", bench)):
-                uncalled.append(f"{module}:{top.lineno} {top.name}")
-    assert uncalled == [], f"only the tests call {uncalled}"
+            for name in defined_names(top):
+                if (not any(name in names for at, names in read.items() if at != (module, n))
+                        and not re.search(rf"\b{name}\b", bench)):
+                    uncalled.append(f"{module}:{top.lineno} {name}")
+    assert uncalled == [], f"only the tests use {uncalled}"
 
 
 def test_every_walk_of_the_crossing_graph_reads_corona_layers():

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coronagrid import analysis, dual, graph, multigrid as mg
+from coronagrid import analysis, dual, graph, io, multigrid as mg
 from coronagrid.certify import random_multigrid
 from coronagrid.errors import (
     CoronagridError,
@@ -334,8 +334,8 @@ def test_walks_check_direction_at_call(pentagrid):
 
 def test_walk_beyond_float_resolution_is_refused(square):
     """About 2^62 out, a parameter's float spacing (1024) exceeds the
-    longest chunk of the square grid's walk (32 crossings): the walk
-    refuses instead of listing the same empty chunk forever."""
+    square grid's spacing of 1, so consecutive levels round to one
+    parameter: the walk refuses instead of yielding it again and again."""
     line = LineId(1, 0)
     for direction in (1, -1):
         walk = mg.line_crossings(square, line, -direction * 2.0**62, direction)
@@ -344,7 +344,7 @@ def test_walk_beyond_float_resolution_is_refused(square):
     assert next(mg.line_crossings(square, line, 2.0**40, 1))[0] == 2.0**40 + 1
 
 
-# line walks: chunked walk and single-step kernel ---------------------------
+# line walks: merged walk and single-step kernel ----------------------------
 
 def two_call_line_steps(spec, i, k, t):
     """Reference for line_steps: one floor above and one ceil below per grid."""
@@ -407,7 +407,8 @@ def stepped_walk(spec, line, t, direction, steps):
     return out
 
 
-def chunked_walk(spec, line, t, direction, steps):
+def merged_walk(spec, line, t, direction, steps):
+    """line_crossings' first `steps` crossings, as stepped_walk lists them."""
     out = []
     try:
         for tm, j, m in islice(mg.line_crossings(spec, line, t, direction), steps):
@@ -421,7 +422,7 @@ def chunked_walk(spec, line, t, direction, steps):
 @settings(max_examples=300)
 @given(spec=walk_specs(), data=st.data())
 def test_line_crossings_match_stepped_walk(spec, data):
-    """The chunked walk takes the steps of a next_crossing_on_line loop,
+    """line_crossings takes the steps of a next_crossing_on_line loop,
     both ways, with the same parameters, or the same refusal and message.
     Walks start at 0, at a drawn parameter, or at a crossing with a grid
     that is not nearly parallel to the line's: a crossing with a nearly
@@ -439,14 +440,14 @@ def test_line_crossings_match_stepped_walk(spec, data):
         else:
             t = data.draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))
         for direction in (1, -1):
-            assert (chunked_walk(spec, line, t, direction, 150)
+            assert (merged_walk(spec, line, t, direction, 150)
                     == stepped_walk(spec, line, t, direction, 150))
 
 
 def test_line_crossings_refusal_names_the_stepped_parameter():
     """Where the two nearest candidates tie in their distance from the start,
-    line_steps names the lower grid's parameter, 0.0 here, and the chunked
-    walk names the same, not that of its own first candidate, 2.7e-44."""
+    line_steps names the lower grid's parameter, 0.0 here, and line_crossings
+    names the same, not that of its own first candidate, 2.7e-44."""
     normals = ((1+0j), (0.9998476951563913+0.01745240643728351j),
                (0.9993908270190958+0.03489949670250097j),
                (0.9986295347545738+0.052335956242943835j))
@@ -455,7 +456,7 @@ def test_line_crossings_refusal_names_the_stepped_parameter():
     t = spec.line_parameter(line, mg.crossing_point(spec, line, (1, 1)))
     want = stepped_walk(spec, line, t, -1, 150)
     assert want[-1][1].endswith("near parameter 0.0")
-    assert chunked_walk(spec, line, t, -1, 150) == want
+    assert merged_walk(spec, line, t, -1, 150) == want
 
 
 @pytest.mark.xfail(strict=True, reason="line_steps can return the crossing it starts from "
@@ -465,14 +466,14 @@ def test_line_crossings_match_stepped_walk_far_out():
     lines cross about 4.7e8 out, where levels near 2.4e8 are spaced 3e-8
     apart, more than _SNAP.  There, from the 103rd step on, the loop of
     next_crossing_on_line steps returns the crossing (4, 1, 5, 238378564)
-    over and over, and the chunked walk goes on past it."""
+    over and over, and line_crossings goes on past it."""
     normals = ((0.7441324984952004+0.6680320536346221j), (0.6047752158282476+0.7963962194284303j),
                (-0.5606963083550588+0.8280215273753508j), (-0.6662496396952219+0.7457287828734969j),
                (-0.6662496444421585+0.7457287786324847j), (-0.9519302312249167+0.3063149276154797j),
                (-0.9777899902252007+0.20958705832040747j))
     spec = MultigridSpec(normals, (0.5,) * 7)
     line, t = LineId(4, 1), 471290541.22133875
-    assert chunked_walk(spec, line, t, 1, 150) == stepped_walk(spec, line, t, 1, 150)
+    assert merged_walk(spec, line, t, 1, 150) == stepped_walk(spec, line, t, 1, 150)
 
 
 @pytest.mark.parametrize("angle, beyond, refused", [
@@ -492,16 +493,49 @@ def test_line_crossings_near_a_crossing(angle, beyond, refused, direction):
                           (1 - 0.3 * direction) * fourth.imag))
     line, t = LineId(0, 0), 1 - 0.7 * direction
     want = stepped_walk(spec, line, t, direction, 4)
-    assert chunked_walk(spec, line, t, direction, 4) == want
+    assert merged_walk(spec, line, t, direction, 4) == want
     assert (want[1][0] is SingularMultigrid) == refused
-    # from the first chunk's length back, that chunk ends between 1 and the
-    # third grid's crossing
-    length = mg._FIRST_CHUNK / sum(abs(spec.cross(0, l)) for l in (1, 2, 3))
-    t = 1 + direction * (beyond / 2 - length)
-    steps = 4 + math.ceil(length * 3)
-    want = stepped_walk(spec, line, t, direction, steps)
-    assert chunked_walk(spec, line, t, direction, steps) == want
-    assert (want[-1][0] is SingularMultigrid) == refused
+
+
+# Two grids' crossings with line (0, -2) about 1.4e14 out round to one
+# parameter, 144778510258996.16, where a parameter's float spacing is 0.03.
+FAR_OUT_TIE = ("normals: [(0.26473495307270256, 0.964321214441326), "
+               "(0.3891298636002047, 0.9211829076000521), "
+               "(-0.13296929580639963, 0.991120157383932), "
+               "(-0.9995766913712452, 0.02909360870216024), "
+               "(-0.9049657342175945, 0.42548445317309785), "
+               "(0.2588247365254533, 0.9659243012589184)]\n"
+               "offsets: [0.5, 0.0, 0.0, 0.5, 0.0, 0.8183367354944618]\n")
+
+
+def walked_positions(spec, line, t, direction, steps):
+    """direction * parameter of line_crossings' first `steps` crossings, up
+    to a refusal, and whether it refused."""
+    out = []
+    try:
+        for tm, _, _ in islice(mg.line_crossings(spec, line, t, direction), steps):
+            out.append(direction * tm)
+    except SingularMultigrid:
+        return out, True
+    return out, False
+
+
+def test_far_out_walk_never_repeats_a_parameter():
+    positions, refused = walked_positions(io.parse_spec(FAR_OUT_TIE), LineId(0, -2),
+                                          144778510259001.0, -1, 40)
+    assert refused
+    assert all(a < b for a, b in zip(positions, positions[1:]))
+
+
+@given(spec=walk_specs(), grid=st.integers(0, 6), k=st.integers(-2, 2),
+       t=st.floats(-1e19, 1e19), direction=st.sampled_from([1, -1]))
+@example(spec=io.parse_spec(FAR_OUT_TIE), grid=0, k=-2, t=144778510259001.0, direction=-1)
+def test_walks_advance_until_refused(spec, grid, k, t, direction):
+    """At any start up to 1e19 out, the parameters a walk yields strictly
+    increase in its direction, until a refusal."""
+    line = LineId(grid % spec.d, k)
+    positions, _ = walked_positions(spec, line, t, direction, 200)
+    assert all(a < b for a, b in zip(positions, positions[1:]))
 
 
 # dominant lines and endpoints ----------------------------------------------
@@ -587,6 +621,14 @@ def test_nearest_crossing_is_nearest(pentagrid):
     c = mg.nearest_crossing(pentagrid)
     all_near = mg.enumerate_crossings(pentagrid, 2.0)
     assert abs(c.point) == min(abs(x.point) for x in all_near)
+
+
+@pytest.mark.parametrize("angles", [[0, 90], [0, 60, 120]])
+def test_nearest_crossing_breaks_ties_by_key(angles):
+    """With every offset 0.5, crossings (0, 0, 1, 0) and (0, -1, 1, -1),
+    and on the three grids two more, lie at one float distance from the
+    origin; the one with the smallest key is the answer."""
+    assert mg.nearest_crossing(MultigridSpec.from_angles(angles, 0.5)).key == (0, -1, 1, -1)
 
 
 def window_nearest(spec, limit=1e6):
