@@ -214,14 +214,17 @@ def _dispatch(args) -> tuple[dict[str, str], int]:
         return {}, 0 if all(r.passed for r in results) else 1
 
     spec = _spec_from_args(args)
+    if args.command in ("corona", "converge", "endpoints"):
+        ns = _ns(args)   # read first, so a bad --n is refused before the --ball growth
+        patch = _seed_patch(spec, args)
+
     if args.command == "gen":
         window = tiling_window(spec, args.radius)
         return {"tiles.csv": _csv(io.write_tiles_csv, window),
                 "tiling.svg": io.render_svg(io.tiling_scene(window))}, 0
 
     if args.command == "corona":
-        ns = _ns(args)
-        seq = graph.corona_sequence(spec, _seed_patch(spec, args), ns[-1])
+        seq = graph.corona_sequence(spec, patch, ns[-1])
         overlay = analysis.tiling_char_polygon(spec)
         return {"frontiers.csv": _csv(io.write_frontiers_csv, seq),
                 "corona.svg": io.render_svg(io.corona_scene(spec, seq, overlay))}, 0
@@ -233,13 +236,11 @@ def _dispatch(args) -> tuple[dict[str, str], int]:
                 "charpoly.svg": io.render_svg(io.charpoly_scene(chi, chi_dual))}, 0
 
     if args.command == "converge":
-        ns = _ns(args)
-        rows = analysis.convergence_table(spec, _seed_patch(spec, args), ns, args.side)
+        rows = analysis.convergence_table(spec, patch, ns, args.side)
         return {"convergence.csv": _csv(io.write_convergence_csv, rows)}, 0
 
     if args.command == "endpoints":
-        ns = _ns(args)
-        rows = analysis.endpoints_diagnostic(spec, _seed_patch(spec, args), ns)
+        rows = analysis.endpoints_diagnostic(spec, patch, ns)
         return {"endpoints.csv": _csv(io.write_endpoints_csv, rows)}, 0
 
     if args.command == "sandpile":
